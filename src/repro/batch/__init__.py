@@ -7,10 +7,9 @@ The subsystem has seven layers:
 * :mod:`repro.batch.engine` — :class:`BatchedEngine`, which advances the
   ``(R, n)`` batch state of a constant-state protocol and retires converged
   replicas in place;
-* :mod:`repro.batch.kernels` — pluggable round kernels for that engine:
-  the fused loop (numba-compiled when available, plain Python otherwise)
-  and the array-namespace path, selected by :class:`KernelPolicy` and all
-  byte-identical to the interpreted numpy rounds;
+* :mod:`repro.batch.kernels` — the fused round loop for that engine
+  (numba-compiled when available, plain Python otherwise), selected by
+  :class:`KernelPolicy` and byte-identical to the interpreted numpy rounds;
 * :mod:`repro.batch.memory` — :class:`BatchedMemoryEngine`, the same idea
   for the Table-1 memory baselines (identifier bits, knockout flags and
   epoch coins as ``(R, n)`` arrays, replica-for-replica identical to

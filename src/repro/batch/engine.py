@@ -40,8 +40,6 @@ from repro.batch.kernels import (
     compiled_fused_kernel,
     fused_round_block,
     resolve_kernel,
-    resolve_namespace,
-    run_xp_rounds,
 )
 from repro.batch.observers import (
     BatchObserver,
@@ -113,13 +111,11 @@ class BatchedEngine:
         :func:`repro.batch.kernels.resolve_kernel`: ``"auto"`` (default,
         numba-compiled fused kernel when numba is importable, interpreted
         numpy path otherwise), ``"numba"`` (demand the compiled kernel),
-        ``"numpy"`` (force the interpreted path), ``"python"`` (the fused
-        kernel uncompiled — parity testing without numba), or
-        ``"xp:<namespace>"`` (the array-namespace variant, e.g.
-        ``"xp:numpy"``/``"xp:cupy"``).  Runs that need per-round Python
-        callbacks (observers, schedules, heartbeats) fall back to the
-        interpreted path with identical records; ``last_kernel`` records
-        what each run actually used.
+        ``"numpy"`` (force the interpreted path) or ``"python"`` (the fused
+        kernel uncompiled — parity testing without numba).  Runs that need
+        per-round Python callbacks (observers, schedules, heartbeats) fall
+        back to the interpreted path with identical records;
+        ``last_kernel`` records what each run actually used.
     """
 
     #: Byte budget for an always-densified adjacency (the crossover
@@ -159,9 +155,9 @@ class BatchedEngine:
         self._protocol = protocol
         self._compiled = compile_protocol(protocol)
         # Resolved once per engine: an explicit kernel="numba" without
-        # numba (or an unimportable xp namespace) fails here, not
-        # mid-sweep.  Per-run observer/schedule/heartbeat fallbacks are
-        # decided in run() — see KernelPolicy.fallback_reason.
+        # numba fails here, not mid-sweep.  Per-run observer/schedule/
+        # heartbeat fallbacks are decided in run() — see
+        # KernelPolicy.fallback_reason.
         self._kernel_policy: KernelPolicy = resolve_kernel(kernel)
         self.last_kernel: Optional[dict] = None
         self._adjacency = topology.sparse_adjacency()
@@ -396,7 +392,7 @@ class BatchedEngine:
         # kernels and this loop can never drift on buffer geometry.
         depth = prefetch_depth(num_replicas, n, self.RNG_BUFFER_BYTES)
 
-        # Kernel selection, once per run: fused and xp kernels execute a
+        # Kernel selection, once per run: the fused kernel executes a
         # whole RNG block per call, so any run needing per-round Python
         # callbacks falls back to this interpreted path — consuming the
         # exact same uniform blocks, so records are identical either way.
@@ -405,7 +401,6 @@ class BatchedEngine:
             observers=pipeline is not None,
             schedule=schedule is not None,
             heartbeat=heartbeat is not None,
-            needs_dense=dense is None,
         )
         kernel_label = "numpy" if fallback is not None else policy.resolved
         compile_seconds: Optional[float] = None
@@ -461,27 +456,6 @@ class BatchedEngine:
                         count_rows.append(count_block[offset].copy())
                 round_index += consumed
                 active = np.flatnonzero(active_mask)
-        elif policy.xp_namespace is not None and fallback is None:
-            states, round_index = run_xp_rounds(
-                resolve_namespace(policy.xp_namespace),
-                np.ascontiguousarray(states),
-                active_mask,
-                counts,
-                convergence,
-                rounds_executed,
-                dense,
-                beep_f32,
-                is_leader,
-                succ_primary,
-                succ_secondary,
-                primary_probability,
-                streams.fill_blocks,
-                depth,
-                max_rounds,
-                stop_at_single_leader,
-                count_rows,
-            )
-            active = np.flatnonzero(active_mask)
 
         rng_buffer = np.empty((depth, num_replicas, n), dtype=np.float64)
         rng_position = depth
@@ -636,17 +610,13 @@ class BatchedEngine:
         )
 
         # What actually ran, for callers and telemetry: the resolved
-        # kernel, the per-run fallback (if any), the compile cost, and
-        # the parity gate the kernel is held to ("bitwise" everywhere the
-        # host RNG feeds the kernel; "distributional" on device xp
-        # namespaces, per ROADMAP).
+        # kernel, the per-run fallback (if any) and the compile cost.
         self.last_kernel = {
             "requested": policy.requested,
             "resolved": policy.resolved,
             "active": kernel_label,
             "fallback": fallback,
             "compile_seconds": compile_seconds,
-            "parity": "bitwise" if kernel_label == "numpy" else policy.parity,
         }
 
         # One telemetry sample per run (a no-op unless a MetricsRegistry is
@@ -657,9 +627,6 @@ class BatchedEngine:
         gauges = {
             "engine.adjacency_dense": (
                 1.0 if self._dense_adjacency is not None else 0.0
-            ),
-            "engine.kernel_parity_bitwise": (
-                1.0 if self.last_kernel["parity"] == "bitwise" else 0.0
             ),
         }
         if compile_seconds is not None:

@@ -27,18 +27,16 @@ processes.
 
 :func:`resolve_backend` turns a backend instance or a spec string
 (``"sequential"``, ``"batched"``, ``"process"``, ``"process:4"``) into a
-backend object; :func:`resolve_backend_with_deprecated_batched` additionally
-maps the legacy ``batched=`` boolean kwargs onto backends with a
-:class:`DeprecationWarning`.
+backend object.
 """
 
 from __future__ import annotations
 
 import multiprocessing
+import numbers
 import os
 import queue as queue_module
 import threading
-import warnings
 from dataclasses import replace
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
@@ -83,37 +81,29 @@ def _validate_shard_size(shard_size: ShardSize) -> ShardSize:
     return resolved
 
 
-def _validate_heartbeat_interval(interval: Optional[int]) -> Optional[int]:
-    """Check a heartbeat interval once at construction time.
+def validate_heartbeat_interval(interval: object) -> Optional[int]:
+    """Check a heartbeat interval once, where it enters the system.
 
     ``None`` keeps heartbeats off (the no-op fast path); anything else
-    must be a positive round count.
+    must be a positive whole round count.  Nothing is coerced: bools,
+    strings and fractional numbers (``2.9`` would otherwise truncate to
+    2) are rejected, since the value may come from a JSON request body.
+    An integral float such as ``16.0`` is accepted as ``16``.
     """
     if interval is None:
         return None
-    try:
-        value = int(interval)
-    except (TypeError, ValueError):
+    if isinstance(interval, float) and interval.is_integer():
+        interval = int(interval)
+    if isinstance(interval, bool) or not isinstance(interval, numbers.Integral):
         raise ConfigurationError(
-            f"heartbeat interval must be a positive integer or None; "
+            f"heartbeat_interval must be a positive integer or None; "
             f"got {interval!r}"
-        ) from None
-    if value < 1:
-        raise ConfigurationError(
-            f"heartbeat interval must be >= 1; got {interval!r}"
         )
-    return value
-
-
-def _validate_kernel(kernel: Optional[str]) -> Optional[str]:
-    """Check a backend-level kernel default once at construction time.
-
-    ``None`` leaves cells untouched (engines resolve their own
-    ``"auto"``); anything else must be a valid kernel spec.  Like the
-    cell field, availability is checked in the executing process, not
-    here — a client without numba may still target numba workers.
-    """
-    return validate_kernel(kernel)
+    if interval < 1:
+        raise ConfigurationError(
+            f"heartbeat_interval must be >= 1; got {interval!r}"
+        )
+    return int(interval)
 
 
 def _stamp_kernel(
@@ -232,11 +222,11 @@ class SequentialBackend(_InProcessShardingMixin, ExecutionBackend):
         kernel: Optional[str] = None,
     ):
         self.shard_size = _validate_shard_size(shard_size)
-        self.heartbeat_interval = _validate_heartbeat_interval(heartbeat_interval)
+        self.heartbeat_interval = validate_heartbeat_interval(heartbeat_interval)
         # Kept for spec-threading symmetry: the sequential executor is the
         # kernel-independent reference, so the setting only rides along on
         # cells (engines it runs have no kernel seam).
-        self.kernel = _validate_kernel(kernel)
+        self.kernel = validate_kernel(kernel)
 
     def _execute(self, cell: ExecutionCell) -> CellOutcome:
         return execute_cell_sequential(cell)
@@ -254,16 +244,11 @@ class BatchedBackend(_InProcessShardingMixin, ExecutionBackend):
         kernel: Optional[str] = None,
     ):
         self.shard_size = _validate_shard_size(shard_size)
-        self.heartbeat_interval = _validate_heartbeat_interval(heartbeat_interval)
-        self.kernel = _validate_kernel(kernel)
+        self.heartbeat_interval = validate_heartbeat_interval(heartbeat_interval)
+        self.kernel = validate_kernel(kernel)
 
     def _execute(self, cell: ExecutionCell) -> CellOutcome:
         return execute_cell_batched(cell)
-
-
-def _execute_cell_in_worker(cell: ExecutionCell) -> CellOutcome:
-    """Worker entry point: the batched cell path, importable by spawn."""
-    return execute_cell_batched(cell)
 
 
 #: Per-worker heartbeat wiring, populated by the pool initializer.  Module
@@ -279,12 +264,13 @@ def _init_worker_heartbeat(interval: int, beat_queue: object) -> None:
 
 
 def _execute_unit_in_worker(unit: Tuple[int, ExecutionCell]) -> CellOutcome:
-    """Worker entry point with heartbeats: ships beats over the shared queue.
+    """Worker entry point: the batched cell path, importable by spawn.
 
-    Beats are tagged with the flat unit index; the parent maps that back to
-    (cell, shard) — the worker knows nothing about sweep structure.  Queue
-    failures drop the beat: heartbeats are best-effort observability and
-    must never fail a shard.
+    With heartbeats armed by the pool initializer, beats ship over the
+    shared queue tagged with the flat unit index; the parent maps that
+    back to (cell, shard) — the worker knows nothing about sweep
+    structure.  Queue failures drop the beat: heartbeats are best-effort
+    observability and must never fail a shard.
     """
     unit_index, cell = unit
     interval = _WORKER_HEARTBEAT["interval"]
@@ -347,12 +333,12 @@ class ProcessBackend(ExecutionBackend):
         self.workers = int(workers)
         self.mp_context = mp_context
         self.shard_size = _validate_shard_size(shard_size)
-        self.heartbeat_interval = _validate_heartbeat_interval(heartbeat_interval)
+        self.heartbeat_interval = validate_heartbeat_interval(heartbeat_interval)
         # Cells are stamped with this default before they ship to the
         # pool, so each spawn worker resolves (and JIT-compiles) its
         # kernel once per process — numba's cache=True makes the second
         # and later workers load the on-disk artifact instead.
-        self.kernel = _validate_kernel(kernel)
+        self.kernel = validate_kernel(kernel)
         self.name = f"process:{self.workers}"
         self.last_pool_size: Optional[int] = None
 
@@ -437,21 +423,10 @@ class ProcessBackend(ExecutionBackend):
                     (self.heartbeat_interval, beat_queue) if heartbeating else ()
                 ),
             ) as pool:
-                results = (
-                    pool.imap(
-                        _execute_unit_in_worker,
-                        [
-                            (unit_index, unit[3])
-                            for unit_index, unit in enumerate(units)
-                        ],
-                        chunksize=1,
-                    )
-                    if heartbeating
-                    else pool.imap(
-                        _execute_cell_in_worker,
-                        [unit[3] for unit in units],
-                        chunksize=1,
-                    )
+                results = pool.imap(
+                    _execute_unit_in_worker,
+                    [(unit_index, unit[3]) for unit_index, unit in enumerate(units)],
+                    chunksize=1,
                 )
                 for (cell_index, shard_index, shard_count, _), shard_outcome in zip(
                     units, results
@@ -563,45 +538,9 @@ def resolve_backend(
     if shard_size is not None:
         resolved.shard_size = _validate_shard_size(shard_size)
     if heartbeat_interval is not None:
-        resolved.heartbeat_interval = _validate_heartbeat_interval(
+        resolved.heartbeat_interval = validate_heartbeat_interval(
             heartbeat_interval
         )
     if kernel is not None:
-        resolved.kernel = _validate_kernel(kernel)
+        resolved.kernel = validate_kernel(kernel)
     return resolved
-
-
-def resolve_backend_with_deprecated_batched(
-    backend: BackendSpec,
-    batched: Optional[bool],
-    default: BackendSpec = "sequential",
-    what: str = "batched=",
-    shard_size: ShardSize = None,
-    heartbeat_interval: Optional[int] = None,
-    kernel: Optional[str] = None,
-) -> ExecutionBackend:
-    """Resolve ``backend=`` while honouring the legacy ``batched=`` kwarg.
-
-    ``batched=True`` maps to :class:`BatchedBackend` and ``batched=False``
-    to :class:`SequentialBackend`, each with a :class:`DeprecationWarning`;
-    passing both ``backend=`` and ``batched=`` is an error.
-    """
-    if batched is not None:
-        warnings.warn(
-            f"{what} is deprecated; pass backend='batched' (or any backend "
-            f"spec / instance) instead",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-        if backend is not None:
-            raise ConfigurationError(
-                "pass either backend= or the deprecated batched=, not both"
-            )
-        backend = "batched" if batched else "sequential"
-    return resolve_backend(
-        backend,
-        default=default,
-        shard_size=shard_size,
-        heartbeat_interval=heartbeat_interval,
-        kernel=kernel,
-    )

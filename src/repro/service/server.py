@@ -73,6 +73,7 @@ from urllib.parse import parse_qs, urlsplit
 from repro._version import __version__
 from repro.batch.kernels import validate_kernel
 from repro.errors import ConfigurationError, ReproError, ServiceError
+from repro.exec.backends import validate_heartbeat_interval
 from repro.exec.cells import (
     CellOutcome,
     ExecutionCell,
@@ -107,24 +108,6 @@ _MAX_POLL_SECONDS = 30.0
 #: Upper edges of the per-shard wall-time histogram (``/metrics``); the
 #: implicit last bucket is +Inf.
 _SHARD_WALL_BUCKETS = (0.01, 0.05, 0.25, 1.0, 5.0, 30.0, 120.0)
-
-
-def _validate_interval(interval: object) -> Optional[int]:
-    """Coerce a heartbeat interval (None passes through, else int >= 1)."""
-    if interval is None:
-        return None
-    try:
-        value = int(interval)  # type: ignore[arg-type]
-    except (TypeError, ValueError):
-        raise ConfigurationError(
-            f"heartbeat_interval must be a positive integer or null; "
-            f"got {interval!r}"
-        ) from None
-    if value < 1:
-        raise ConfigurationError(
-            f"heartbeat_interval must be >= 1; got {value}"
-        )
-    return value
 
 
 @dataclass
@@ -240,7 +223,7 @@ class SweepService:
         self.shard_timeout = shard_timeout
         self.default_shard_size = default_shard_size
         self.fault_injector = fault_injector
-        self.heartbeat_interval = _validate_interval(heartbeat_interval)
+        self.heartbeat_interval = validate_heartbeat_interval(heartbeat_interval)
         self.progress_throttle = float(progress_throttle)
         self.kernel = validate_kernel(kernel)
         self.cache = ResultCache(cache_dir)
@@ -377,7 +360,7 @@ class SweepService:
             raise ConfigurationError("a sweep needs at least one cell")
         if shard_size is None:
             shard_size = self.default_shard_size
-        interval = _validate_interval(heartbeat_interval)
+        interval = validate_heartbeat_interval(heartbeat_interval)
         if interval is None:
             interval = self.heartbeat_interval
         sweep_kernel = validate_kernel(

@@ -4,7 +4,7 @@ The fused kernels of :mod:`repro.batch.kernels` consume the same prefetched
 uniform blocks in the same order as the interpreted numpy rounds, so every
 :class:`~repro.batch.results.BatchResult` field — convergence rounds,
 leader-count trajectories, final state vectors — must be byte-identical
-across ``kernel="numpy"`` / ``"python"`` / ``"numba"`` / ``"xp:numpy"``,
+across ``kernel="numpy"`` / ``"python"`` / ``"numba"``,
 and identical to the :class:`~repro.exec.SequentialBackend` reference at
 the record level.  Runs the fused path cannot serve (observers, schedules,
 heartbeats) must fall back to the interpreted loop without perturbing the
@@ -23,7 +23,7 @@ from repro.batch.engine import (
     dense_adjacency_preferred,
 )
 from repro.batch.kernels import (
-    KernelPolicy,
+    KERNEL_SPECS,
     fused_round_block,
     numba_available,
     resolve_kernel,
@@ -69,7 +69,7 @@ def _engine(kernel=None, graph="cycle", n=16, schedule_spec=None):
     return BatchedEngine(topology, protocol, schedule=schedule, kernel=kernel)
 
 
-@pytest.mark.parametrize("kernel", ["python", "xp:numpy"])
+@pytest.mark.parametrize("kernel", ["python"])
 @pytest.mark.parametrize("graph", ["cycle", "erdos-renyi"])
 @pytest.mark.parametrize(
     "run_kwargs",
@@ -118,7 +118,6 @@ def test_kernel_reported_in_last_kernel():
         "active": "python",
         "fallback": None,
         "compile_seconds": None,
-        "parity": "bitwise",
     }
 
 
@@ -176,38 +175,17 @@ def test_explicit_numba_without_numba_raises():
 def test_validate_kernel_normalises_and_rejects():
     assert validate_kernel(None) is None
     assert validate_kernel("  NumPy ") == "numpy"
-    assert validate_kernel("xp:numpy") == "xp:numpy"
     # Validation is availability-blind: cells stamped on a machine without
     # numba may execute on workers that have it.
     assert validate_kernel("numba") == "numba"
     with pytest.raises(ConfigurationError):
         validate_kernel("fortran")
-    with pytest.raises(ConfigurationError):
-        validate_kernel("xp:")
-
-
-def test_xp_namespace_policy():
-    policy = resolve_kernel("xp:numpy")
-    assert policy.xp_namespace == "numpy"
-    assert policy.parity == "bitwise"
-    assert not policy.wants_fused
-    torch_policy = KernelPolicy(
-        requested="xp:torch", resolved="xp:torch", reason=None,
-        parity="distributional",
-    )
-    assert torch_policy.parity == "distributional"
-
-
-def test_unknown_xp_namespace_raises_at_construction():
-    with pytest.raises(ConfigurationError, match="not importable"):
-        _engine("xp:definitely_not_installed")
-
-
-def test_xp_parity_gate_recorded():
-    engine = _engine("xp:numpy")
-    engine.run([1, 2, 3])
-    assert engine.last_kernel["active"] == "xp:numpy"
-    assert engine.last_kernel["parity"] == "bitwise"
+    # "xp:" specs are unknown names too; the error lists the valid specs.
+    for spec in ("xp:numpy", "xp:"):
+        with pytest.raises(ConfigurationError) as error:
+            validate_kernel(spec)
+        for valid in KERNEL_SPECS:
+            assert repr(valid) in str(error.value)
 
 
 def test_fused_kernel_is_plain_python_function():
@@ -299,7 +277,6 @@ def test_adjacency_representation_reported_as_gauge():
         engine.run([1, 2])
     snapshot = registry.snapshot()
     assert snapshot["gauges"]["engine.adjacency_dense"] == 1.0
-    assert snapshot["gauges"]["engine.kernel_parity_bitwise"] == 1.0
     assert snapshot["counters"]["engine.kernel.numpy"] == 1
 
 

@@ -54,6 +54,10 @@ def test_resolve_backend_sets_the_interval_on_any_backend():
     assert resolve_backend("batched").heartbeat_interval is None
     backend = resolve_backend("process:2", heartbeat_interval=16)
     assert backend.heartbeat_interval == 16
+    # An integral float (a JSON client's 16.0) is a whole round count.
+    backend = resolve_backend("batched", heartbeat_interval=16.0)
+    assert type(backend.heartbeat_interval) is int
+    assert backend.heartbeat_interval == 16
 
 
 # --------------------------------------------------------------------------- #

@@ -10,7 +10,7 @@ executing workers.
 
 import pytest
 
-from repro.batch.kernels import numba_available
+from repro.batch.kernels import KERNEL_SPECS, numba_available
 from repro.errors import ConfigurationError
 from repro.exec import ExecutionCell, resolve_backend
 from repro.exec.backends import (
@@ -56,12 +56,68 @@ def test_cell_validates_kernel_at_construction():
     assert _cell(kernel="numba").kernel == "numba"
     with pytest.raises(ConfigurationError):
         _cell(kernel="fortran")
+    # Specs arriving over the wire are checked the same way.
+    spec = dict(cell_to_spec(_cell()), kernel="xp:numpy")
+    with pytest.raises(ConfigurationError) as error:
+        cell_from_spec(spec)
+    for valid in KERNEL_SPECS:
+        assert repr(valid) in str(error.value)
+
+
+def _submit_to_service(kernel):
+    from repro.service.server import SweepService
+
+    with SweepService(port=0, workers=1) as service:
+        service.submit((_cell(),), kernel=kernel)
+
+
+def _run_cli(kernel):
+    from repro.cli import main
+
+    main(
+        [
+            "montecarlo",
+            "--protocol", "bfw",
+            "--graph", "cycle",
+            "--n", "16",
+            "--replicas", "4",
+            "--kernel", kernel,
+        ]
+    )
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [
+        pytest.param(lambda kernel: _cell(kernel=kernel), id="cell"),
+        pytest.param(
+            lambda kernel: cell_from_spec(dict(cell_to_spec(_cell()), kernel=kernel)),
+            id="cell_from_spec",
+        ),
+        pytest.param(lambda kernel: SequentialBackend(kernel=kernel), id="sequential"),
+        pytest.param(lambda kernel: BatchedBackend(kernel=kernel), id="batched"),
+        pytest.param(lambda kernel: ProcessBackend(kernel=kernel), id="process"),
+        pytest.param(
+            lambda kernel: resolve_backend("batched", kernel=kernel),
+            id="resolve_backend",
+        ),
+        pytest.param(_submit_to_service, id="service"),
+        pytest.param(_run_cli, id="cli"),
+    ],
+)
+def test_removed_xp_kernel_is_rejected_at_every_entry(entry):
+    # "xp:" specs are gone: every way a kernel spec comes in rejects them
+    # with the list of valid specs.
+    with pytest.raises(ConfigurationError) as error:
+        entry("xp:numpy")
+    for valid in KERNEL_SPECS:
+        assert repr(valid) in str(error.value)
 
 
 def test_kernel_excluded_from_signature():
     bare = _cell()
     assert "kernel" not in canonical_cell_json(bare)
-    for kernel in ("numpy", "python", "numba", "xp:numpy"):
+    for kernel in ("numpy", "python", "numba"):
         stamped = _cell(kernel=kernel)
         assert canonical_cell_json(stamped) == canonical_cell_json(bare)
         assert cell_signature(stamped) == cell_signature(bare)

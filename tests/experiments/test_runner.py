@@ -6,12 +6,18 @@ from repro.baselines import PipelinedIDElection
 from repro.core.bfw import BFWProtocol, NonUniformBFWProtocol
 from repro.errors import ConfigurationError
 from repro.experiments.config import GraphSpec, ProtocolSpecConfig, SweepConfig, TrialConfig
+from repro.experiments.figures import (
+    ablation_experiment,
+    lower_bound_experiment,
+    scaling_experiment,
+)
 from repro.experiments.runner import (
     instantiate_protocol,
     run_protocol_on,
     run_sweep,
     run_trial,
 )
+from repro.experiments.tables import generate_table1
 from repro.graphs.generators import clique_graph, path_graph
 
 
@@ -99,3 +105,20 @@ def test_run_sweep_is_reproducible():
     first = [record.convergence_round for record in run_sweep(sweep)]
     second = [record.convergence_round for record in run_sweep(sweep)]
     assert first == second
+
+
+@pytest.mark.parametrize(
+    "function",
+    [
+        run_sweep,
+        scaling_experiment,
+        lower_bound_experiment,
+        ablation_experiment,
+        generate_table1,
+    ],
+    ids=lambda function: function.__name__,
+)
+def test_removed_batched_kwarg_is_rejected(function):
+    # The backend is chosen with backend= only; batched= is not a parameter.
+    with pytest.raises(TypeError, match="batched"):
+        function(batched=True)

@@ -6,8 +6,8 @@ import urllib.request
 
 import pytest
 
-from repro.errors import ServiceError
-from repro.exec import SequentialBackend
+from repro.errors import ConfigurationError, ServiceError
+from repro.exec import SequentialBackend, resolve_backend
 from repro.service import ServiceClient
 from repro.service.wire import cells_to_payload
 
@@ -124,6 +124,29 @@ def test_malformed_submissions_are_400(service, body):
         assert "error" in json.loads(error.read())
     else:  # pragma: no cover
         pytest.fail("expected HTTP 400")
+
+
+@pytest.mark.parametrize("interval", [2.9, True, False, "16", 0, -4])
+@pytest.mark.parametrize("entry", ["backend", "post"])
+def test_heartbeat_interval_is_validated_not_coerced(request, entry, interval):
+    # One validator guards both ways in: backend construction and the
+    # POST /sweeps body.  Nothing is coerced: int() would turn 2.9 into 2
+    # and True into 1.
+    if entry == "backend":
+        with pytest.raises(ConfigurationError, match="heartbeat_interval"):
+            SequentialBackend(heartbeat_interval=interval)
+        with pytest.raises(ConfigurationError, match="heartbeat_interval"):
+            resolve_backend("batched", heartbeat_interval=interval)
+        return
+    service = request.getfixturevalue("service")
+    payload = {
+        "cells": cells_to_payload([make_cell()]),
+        "heartbeat_interval": interval,
+    }
+    with pytest.raises(urllib.error.HTTPError) as excinfo:
+        _post(service.url, "/sweeps", payload)
+    assert excinfo.value.code == 400
+    assert "heartbeat_interval" in json.loads(excinfo.value.read())["error"]
 
 
 def test_submission_by_raw_json_matches_client(service):

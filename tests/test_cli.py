@@ -3,6 +3,7 @@
 import pytest
 
 from repro.cli import build_parser, main
+from repro.errors import ConfigurationError
 
 
 def test_no_command_prints_help_and_fails(capsys):
@@ -260,6 +261,35 @@ def test_table1_batched_end_to_end(capsys):
     assert code == 0
     assert "Table 1" in captured.out
     assert "bfw-nonuniform" in captured.out
+
+
+@pytest.mark.parametrize("command", ["table1", "scaling", "lower-bound", "ablation"])
+def test_removed_batched_flag_is_rejected(capsys, command):
+    # The backend is chosen with --backend only.
+    with pytest.raises(SystemExit) as excinfo:
+        main([command, "--batched"])
+    assert excinfo.value.code == 2
+    assert "--batched" in capsys.readouterr().err
+
+
+def test_cli_workers_implies_process_backend(capsys):
+    argv = [
+        "lower-bound", "--diameters", "4", "8", "--seeds", "2", "--workers", "2",
+    ]
+    assert main(argv) == 0
+    process_out = capsys.readouterr().out
+    assert main(["lower-bound", "--diameters", "4", "8", "--seeds", "2"]) == 0
+    assert capsys.readouterr().out == process_out
+
+
+def test_cli_workers_rejects_non_process_backends():
+    with pytest.raises(ConfigurationError):
+        main(
+            [
+                "scaling", "--mode", "nonuniform", "--diameters", "4",
+                "--seeds", "1", "--backend", "batched", "--workers", "2",
+            ]
+        )
 
 
 def test_lower_bound_batched_matches_looped(capsys):
