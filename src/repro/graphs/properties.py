@@ -2,9 +2,10 @@
 
 These helpers wrap the :class:`~repro.graphs.topology.Topology` distance
 machinery and ``networkx`` with the small amount of glue needed by the
-experiment harness: exact diameters, degree statistics, peripheral node
+experiment harness: degree statistics, all-pairs distances, peripheral node
 pairs (used to plant adversarial leaders at maximum distance), and summary
-records suitable for inclusion in result tables.
+records suitable for inclusion in result tables.  The diameter itself is
+:meth:`Topology.diameter`, which is exact.
 """
 
 from __future__ import annotations
@@ -43,19 +44,6 @@ class GraphSummary:
             "mean_degree": round(self.mean_degree, 3),
             "is_tree": self.is_tree,
         }
-
-
-def exact_diameter(topology: Topology) -> int:
-    """Compute the exact diameter, bypassing the topology's pruning heuristic.
-
-    For very large graphs :meth:`Topology.diameter` uses a double-sweep
-    heuristic which is exact on trees and the generator families used in the
-    benchmarks, but may under-estimate on adversarial inputs; this function
-    always runs full all-pairs BFS via ``networkx``.
-    """
-    if topology.n == 1:
-        return 0
-    return int(nx.diameter(topology.to_networkx()))
 
 
 def degree_sequence(topology: Topology) -> np.ndarray:
@@ -98,11 +86,10 @@ def distance_matrix(topology: Topology) -> np.ndarray:
     Intended for small graphs only (analysis and tests); the memory cost is
     quadratic in ``n``.
     """
-    n = topology.n
-    matrix = np.zeros((n, n), dtype=int)
-    for node in topology.nodes():
-        matrix[node] = topology.distances_from(node).astype(int)
-    return matrix
+    from scipy.sparse import csgraph
+
+    distances = csgraph.shortest_path(topology.sparse_adjacency(), unweighted=True)
+    return distances.astype(int)
 
 
 def is_bipartite(topology: Topology) -> bool:

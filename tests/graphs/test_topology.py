@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from repro.errors import TopologyError
+from repro.exec import ExecutionCell
+from repro.experiments.config import GraphSpec, ProtocolSpecConfig
 from repro.graphs.generators import cycle_graph, path_graph
 from repro.graphs.topology import Topology, topology_from_networkx
 
@@ -44,6 +46,15 @@ def test_disconnected_graph_rejected_by_default():
 def test_disconnected_graph_allowed_when_requested():
     topology = Topology(4, [(0, 1), (2, 3)], require_connected=False)
     assert topology.num_edges == 2
+    assert topology.distance(0, 1) == 1
+    assert topology.distances_from(0)[2] == np.inf
+    for query in (
+        topology.diameter,
+        lambda: topology.eccentricity(0),
+        lambda: topology.distance(0, 2),
+    ):
+        with pytest.raises(TopologyError, match=r"'graph\(n=4\)' is disconnected"):
+            query()
 
 
 def test_distances_on_path():
@@ -94,3 +105,18 @@ def test_to_networkx_round_trip():
 def test_large_graph_diameter_heuristic_exact_on_path():
     topology = path_graph(600)
     assert topology.diameter() == 599
+
+
+@pytest.mark.parametrize(
+    "family, n, seed, diameter",
+    [
+        ("erdos-renyi", 2000, 0, 5),
+        ("erdos-renyi", 2000, 1, 5),
+        ("erdos-renyi", 2000, 2, 5),
+        ("geometric", 1000, 1, 24),
+    ],
+)
+def test_record_diameter_is_exact_above_512_nodes(family, n, seed, diameter):
+    graph = GraphSpec(family, n, seed)
+    cell = ExecutionCell(protocol=ProtocolSpecConfig("bfw"), graph=graph, seeds=(1,))
+    assert cell.build_topology().diameter() == diameter

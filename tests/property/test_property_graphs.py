@@ -1,18 +1,21 @@
 """Property-based tests for the graph substrate."""
 
-from hypothesis import given, settings
+import pytest
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.graphs.generators import (
+    GRAPH_FAMILIES,
     cycle_graph,
     erdos_renyi_graph,
     grid_graph,
     hypercube_graph,
+    make_graph,
     path_graph,
     random_tree_graph,
 )
 from repro.graphs.io import dumps_edge_list, loads_edge_list
-from repro.graphs.properties import exact_diameter
+from tests.graphs.diameter_oracle import oracle_diameter
 
 SETTINGS = settings(max_examples=40, deadline=None)
 
@@ -46,8 +49,31 @@ def test_hypercube_diameter_is_dimension(dimension):
 def test_random_tree_has_n_minus_one_edges_and_exact_diameter(n, seed):
     tree = random_tree_graph(n, rng=seed)
     assert tree.num_edges == n - 1
-    # The heuristic diameter equals the exact one on trees.
-    assert tree.diameter() == exact_diameter(tree)
+    assert tree.diameter() == oracle_diameter(tree)
+
+
+#: Families whose sizes round to powers of two (511 and 512 nodes near 512):
+#: doubling the requested size takes them past 512.
+_DOUBLED_NEAR_512 = ("binary-tree", "hypercube")
+
+
+@pytest.mark.parametrize("family", GRAPH_FAMILIES)
+@settings(max_examples=2, deadline=None)
+@given(
+    small=st.integers(2, 120),
+    large=st.integers(500, 530),
+    seed=st.integers(0, 10_000),
+)
+@example(small=2, large=530, seed=0)
+def test_diameter_matches_oracle_on_both_sides_of_512(family, small, large, seed):
+    if family in _DOUBLED_NEAR_512:
+        large *= 2
+    for size in (small, large):
+        topology = make_graph(family, size, rng=seed)
+        assert topology.diameter() == oracle_diameter(topology)
+    # A request above 512 nodes builds a graph above 512 in every family, so
+    # the explicit example covers that side for each of them.
+    assert large <= 512 or topology.n > 512
 
 
 @SETTINGS
