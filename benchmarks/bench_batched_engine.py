@@ -18,32 +18,30 @@ replica-for-replica identical to the loop:
   :class:`~repro.exec.BatchedBackend` on a multi-cell sweep (the Table-1 /
   scaling shape), asserting ≥ 1.5× with 2 workers — only on machines with
   at least 2 CPUs, since cell sharding cannot beat one process on one core.
-  This case always writes its measurements to ``BENCH_exec.json``
-  (override the path with ``REPRO_BENCH_JSON``) so the execution-layer
-  perf trajectory is machine-readable from PR to PR.
+  This case always writes its measurements to ``BENCH_exec.json`` so the
+  execution-layer perf trajectory is machine-readable from PR to PR.
 * the dynamic-graph churn sweep (E14): batched replica-rounds/sec as a
   function of the churn rate, plus the amortised-vs-naive rebuild ratio —
   one memoised schedule shared by all replicas against a fresh schedule per
   replica (the rebuild-per-round-per-replica strawman).  Writes
-  ``BENCH_dynamics.json`` (override with ``REPRO_BENCH_DYNAMICS_JSON``).
+  ``BENCH_dynamics.json``.
 * the batched observation layer (E15): the overhead of recording a full
   ``BatchTrace`` (plus an extinction observer) on a batched run against the
   untraced run, and the throughput of the batch analysis entry points
   (``first_beep_round_batch`` / ``summarize_batch``) against the
   per-replica loop over ``trace.replica(r)``.  Writes
-  ``BENCH_observers.json`` (override with ``REPRO_BENCH_OBSERVERS_JSON``).
+  ``BENCH_observers.json``.
 * the streaming telemetry layer (E16): the overhead of folding the analysis
   reductions online (``Streaming*`` reducers) and of spilling the trace to
   windowed ``.npz`` segments, both against the untraced run and against the
   in-memory recorder — plus the peak-RAM proxy (largest resident spill
   window vs the full ``(T+1, R, n)`` history).  Writes
-  ``BENCH_telemetry.json`` (override with ``REPRO_BENCH_TELEMETRY_JSON``).
+  ``BENCH_telemetry.json``.
 * intra-cell sharding (E17): one large Monte-Carlo cell (BFW on a 200-node
   cycle, thousands of replicas) on ``process:2`` whole — the historical
   one-cell/one-core defect — against the same cell with
   ``shard_size="auto"``, asserting byte-identical outcomes and ≥ 1.5×
-  with 2 workers on ≥ 2 CPUs.  Writes ``BENCH_shard.json`` (override with
-  ``REPRO_BENCH_SHARD_JSON``).
+  with 2 workers on ≥ 2 CPUs.  Writes ``BENCH_shard.json``.
 * in-flight observability (E18): the E17 single-cell workload through the
   :class:`~repro.exec.BatchedBackend` three ways — silent, with
   ``heartbeat_interval=32`` streaming :class:`~repro.exec.ShardProgress`
@@ -51,8 +49,7 @@ replica-for-replica identical to the loop:
   :class:`~repro.telemetry.progress.ProgressReporter` (telemetry JSONL +
   span tree) — asserting byte-identical records and bounding the
   heartbeat overhead at ≤ 5% of the silent run (process CPU time,
-  best-of-N).  Writes ``BENCH_observability.json`` (override with
-  ``REPRO_BENCH_OBSERVABILITY_JSON``).
+  best-of-N).  Writes ``BENCH_observability.json``.
 
 * fused round kernels (E19): the interpreted numpy round loop against the
   fused kernel of :mod:`repro.batch.kernels` (numba-compiled when numba is
@@ -62,7 +59,7 @@ replica-for-replica identical to the loop:
   replica-rounds/sec.  The ≥ 2× gate on the million-node shape is enforced
   only when numba is importable (the CI ``kernels`` job); without numba the
   pure-Python kernel is probed at reduced size, informationally.  Writes
-  ``BENCH_kernel.json`` (override with ``REPRO_BENCH_KERNEL_JSON``).
+  ``BENCH_kernel.json``.
 
 Setting ``REPRO_BENCH_FAST=1`` shrinks every workload (small R and n) and
 skips the speed-up assertions; CI uses it as a smoke mode so these scripts
@@ -95,37 +92,34 @@ FAST = os.environ.get("REPRO_BENCH_FAST", "") == "1"
 #: shared runners without going red on their timing noise.
 STRICT = os.environ.get("REPRO_BENCH_STRICT", "1") == "1"
 
-#: Where the execution-backend case writes its machine-readable results.
-BENCH_EXEC_JSON = os.environ.get("REPRO_BENCH_JSON", "BENCH_exec.json")
-
-#: Where the dynamic-graph churn case writes its machine-readable results.
-BENCH_DYNAMICS_JSON = os.environ.get(
-    "REPRO_BENCH_DYNAMICS_JSON", "BENCH_dynamics.json"
-)
-
-#: Where the observation-layer case writes its machine-readable results.
-BENCH_OBSERVERS_JSON = os.environ.get(
-    "REPRO_BENCH_OBSERVERS_JSON", "BENCH_observers.json"
-)
-
-#: Where the streaming-telemetry case writes its machine-readable results.
-BENCH_TELEMETRY_JSON = os.environ.get(
-    "REPRO_BENCH_TELEMETRY_JSON", "BENCH_telemetry.json"
-)
-
-#: Where the intra-cell sharding case writes its machine-readable results.
-BENCH_SHARD_JSON = os.environ.get("REPRO_BENCH_SHARD_JSON", "BENCH_shard.json")
-
-#: Where the observability-overhead case writes its machine-readable results.
-BENCH_OBSERVABILITY_JSON = os.environ.get(
-    "REPRO_BENCH_OBSERVABILITY_JSON", "BENCH_observability.json"
-)
-
-#: Where the fused-kernel case writes its machine-readable results.
-BENCH_KERNEL_JSON = os.environ.get("REPRO_BENCH_KERNEL_JSON", "BENCH_kernel.json")
-
 #: Workers used by the process-backend sweep case.
 PROCESS_WORKERS = 2
+
+
+def _write_json(name, payload):
+    """Write one case's machine-readable results to ``BENCH_<name>.json``."""
+    path = f"BENCH_{name}.json"
+    with open(path, "w", encoding="utf-8") as handle:
+        json.dump(payload, handle, indent=2)
+        handle.write("\n")
+    return path
+
+
+def _best_of(run, repeats):
+    """Best process-CPU and wall seconds of ``repeats`` runs, and a result.
+
+    Process CPU time makes overhead ratios robust to co-tenant load on
+    shared runners; wall time is reported alongside.
+    """
+    best_cpu = best_wall = float("inf")
+    value = None
+    for _ in range(repeats):
+        wall = time.perf_counter()
+        cpu = time.process_time()
+        value = run()
+        best_cpu = min(best_cpu, time.process_time() - cpu)
+        best_wall = min(best_wall, time.perf_counter() - wall)
+    return best_cpu, best_wall, value
 
 
 def _size(value, fast_value):
@@ -284,9 +278,7 @@ def test_process_backend_sweep_speedup_over_batched(report):
         ],
         "speedup_process_vs_batched": speedup,
     }
-    with open(BENCH_EXEC_JSON, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, indent=2)
-        handle.write("\n")
+    json_path = _write_json("exec", payload)
 
     report(
         f"E13 — process backend vs batched backend "
@@ -295,7 +287,7 @@ def test_process_backend_sweep_speedup_over_batched(report):
         f"batched:     {batched_seconds:8.2f}s\n"
         f"process:{PROCESS_WORKERS}:   {process_seconds:8.2f}s\n"
         f"speedup:     {speedup:.2f}x\n"
-        f"json:        {BENCH_EXEC_JSON}",
+        f"json:        {json_path}",
     )
     if not FAST and STRICT and cpus >= PROCESS_WORKERS:
         assert speedup >= 1.5, (
@@ -409,9 +401,7 @@ def test_dynamic_churn_sweep(report):
             "naive_over_amortised": rebuild_ratio,
         },
     }
-    with open(BENCH_DYNAMICS_JSON, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, indent=2)
-        handle.write("\n")
+    json_path = _write_json("dynamics", payload)
 
     lines = [
         f"rate {entry['churn_rate']}: "
@@ -423,7 +413,7 @@ def test_dynamic_churn_sweep(report):
         f"rebuilds:  amortised {amortised_seconds:.2f}s vs naive "
         f"{naive_seconds:.2f}s -> {rebuild_ratio:.2f}x"
     )
-    lines.append(f"json:      {BENCH_DYNAMICS_JSON}")
+    lines.append(f"json:      {json_path}")
     report(
         f"E14 — batched engine under edge churn "
         f"({len(seeds)} replicas, {topology.name})",
@@ -534,9 +524,7 @@ def test_observer_overhead(report):
             "analysis_speedup_batch_vs_loop": analysis_speedup,
         },
     }
-    with open(BENCH_OBSERVERS_JSON, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, indent=2)
-        handle.write("\n")
+    json_path = _write_json("observers", payload)
 
     report(
         f"E15 — batched observation layer "
@@ -546,7 +534,7 @@ def test_observer_overhead(report):
         f"analysis batch: {batch_analysis_seconds:8.3f}s\n"
         f"analysis loop:  {loop_analysis_seconds:8.3f}s "
         f"({analysis_speedup:.2f}x)\n"
-        f"json:           {BENCH_OBSERVERS_JSON}",
+        f"json:           {json_path}",
     )
     if not FAST and STRICT:
         assert analysis_speedup >= 1.5, (
@@ -606,27 +594,10 @@ def test_streaming_telemetry_overhead(report, tmp_path):
     )
     repeats = 1 if FAST else 2
 
-    def _timed(run):
-        # Process CPU time makes the overhead ratio robust to co-tenant
-        # load on shared runners; wall time is reported alongside.
-        wall = time.perf_counter()
-        cpu = time.process_time()
-        value = run()
-        return time.process_time() - cpu, time.perf_counter() - wall, value
-
-    def _best_of(run):
-        best_cpu = best_wall = float("inf")
-        value = None
-        for _ in range(repeats):
-            cpu, wall, value = _timed(run)
-            best_cpu = min(best_cpu, cpu)
-            best_wall = min(best_wall, wall)
-        return best_cpu, best_wall, value
-
     engine.run(seeds, **run_kwargs)  # warmup: prime caches and lazy imports
 
     untraced_cpu, untraced_seconds, untraced = _best_of(
-        lambda: engine.run(seeds, **run_kwargs)
+        lambda: engine.run(seeds, **run_kwargs), repeats
     )
 
     # Fresh reducers and registry per repeat (runs are deterministic, so the
@@ -648,20 +619,20 @@ def test_streaming_telemetry_overhead(report, tmp_path):
                 **run_kwargs,
             )
 
-    streaming_cpu, streaming_seconds, streamed = _best_of(_streamed_run)
+    streaming_cpu, streaming_seconds, streamed = _best_of(_streamed_run, repeats)
     streams = observed["streams"]
     registry = observed["registry"]
 
     spiller = SpillingTraceRecorder(
         directory=str(tmp_path), byte_budget=_size(1024 * 1024, 512)
     )
-    spilling_cpu, spilling_seconds, _ = _timed(
-        lambda: engine.run(seeds, observers=[spiller], **run_kwargs)
+    spilling_cpu, spilling_seconds, _ = _best_of(
+        lambda: engine.run(seeds, observers=[spiller], **run_kwargs), 1
     )
 
     recorder = BatchTraceRecorder()
-    inmemory_cpu, inmemory_seconds, _ = _timed(
-        lambda: engine.run(seeds, observers=[recorder], **run_kwargs)
+    inmemory_cpu, inmemory_seconds, _ = _best_of(
+        lambda: engine.run(seeds, observers=[recorder], **run_kwargs), 1
     )
 
     # identical physics first — telemetry must never perturb execution
@@ -722,9 +693,7 @@ def test_streaming_telemetry_overhead(report, tmp_path):
             "peak_ram_fraction": peak_window / max(trace_bytes, 1),
         },
     }
-    with open(BENCH_TELEMETRY_JSON, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, indent=2)
-        handle.write("\n")
+    json_path = _write_json("telemetry", payload)
 
     report(
         f"E16 — streaming telemetry "
@@ -735,7 +704,7 @@ def test_streaming_telemetry_overhead(report, tmp_path):
         f"in-memory:  {inmemory_seconds:8.2f}s wall ({inmemory_overhead:.2f}x cpu)\n"
         f"peak spill window: {peak_window:,} B of {trace_bytes:,} B trace "
         f"({peak_window / max(trace_bytes, 1):.3f})\n"
-        f"json:       {BENCH_TELEMETRY_JSON}",
+        f"json:       {json_path}",
     )
     if not FAST and STRICT:
         assert streaming_overhead <= 1.3, (
@@ -837,9 +806,7 @@ def test_intra_cell_sharding_speedup_on_single_cell(report):
         ],
         "speedup_sharded_vs_whole": speedup,
     }
-    with open(BENCH_SHARD_JSON, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, indent=2)
-        handle.write("\n")
+    json_path = _write_json("shard", payload)
 
     report(
         f"E17 — intra-cell sharding on one Monte-Carlo cell "
@@ -847,7 +814,7 @@ def test_intra_cell_sharding_speedup_on_single_cell(report):
         f"whole cell:  {whole_seconds:8.2f}s (pool of 1 — the defect)\n"
         f"shard auto:  {sharded_seconds:8.2f}s (pool of {PROCESS_WORKERS})\n"
         f"speedup:     {speedup:.2f}x\n"
-        f"json:        {BENCH_SHARD_JSON}",
+        f"json:        {json_path}",
     )
     if not FAST and STRICT and cpus >= PROCESS_WORKERS:
         assert speedup >= 1.5, (
@@ -895,27 +862,10 @@ def test_observability_overhead(report, tmp_path):
     cells = (cell,)
     repeats = 1 if FAST else 3
 
-    def _timed(run):
-        # Process CPU time makes the overhead ratio robust to co-tenant
-        # load on shared runners; wall time is reported alongside.
-        wall = time.perf_counter()
-        cpu = time.process_time()
-        value = run()
-        return time.process_time() - cpu, time.perf_counter() - wall, value
-
-    def _best_of(run):
-        best_cpu = best_wall = float("inf")
-        value = None
-        for _ in range(repeats):
-            cpu, wall, value = _timed(run)
-            best_cpu = min(best_cpu, cpu)
-            best_wall = min(best_wall, wall)
-        return best_cpu, best_wall, value
-
     silent_backend = BatchedBackend()
     silent_backend.run_cells(cells)  # warmup: prime caches and lazy imports
     untraced_cpu, untraced_seconds, reference = _best_of(
-        lambda: silent_backend.run_cells(cells)
+        lambda: silent_backend.run_cells(cells), repeats
     )
 
     beating_backend = BatchedBackend(heartbeat_interval=heartbeat_every)
@@ -925,7 +875,7 @@ def test_observability_overhead(report, tmp_path):
         events.clear()
         return beating_backend.run_cells(cells, progress=events.append)
 
-    heartbeat_cpu, heartbeat_seconds, beating = _best_of(_beating_run)
+    heartbeat_cpu, heartbeat_seconds, beating = _best_of(_beating_run, repeats)
     beats = [event for event in events if isinstance(event, ShardProgress)]
     assert beating == reference  # identical physics first
     assert beats, "a heartbeat-enabled run must emit in-flight events"
@@ -947,7 +897,7 @@ def test_observability_overhead(report, tmp_path):
         finally:
             reporter.close()
 
-    spans_cpu, spans_seconds, reported = _best_of(_reported_run)
+    spans_cpu, spans_seconds, reported = _best_of(_reported_run, repeats)
     assert reported == reference
 
     heartbeat_overhead = heartbeat_cpu / max(untraced_cpu, 1e-9)
@@ -976,9 +926,7 @@ def test_observability_overhead(report, tmp_path):
             "spans_overhead": spans_overhead,
         },
     }
-    with open(BENCH_OBSERVABILITY_JSON, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, indent=2)
-        handle.write("\n")
+    json_path = _write_json("observability", payload)
 
     report(
         f"E18 — in-flight observability "
@@ -987,7 +935,7 @@ def test_observability_overhead(report, tmp_path):
         f"heartbeat:  {heartbeat_seconds:8.2f}s wall "
         f"({heartbeat_overhead:.3f}x cpu, {len(beats)} beats)\n"
         f"full spans: {spans_seconds:8.2f}s wall ({spans_overhead:.3f}x cpu)\n"
-        f"json:       {BENCH_OBSERVABILITY_JSON}",
+        f"json:       {json_path}",
     )
     if not FAST and STRICT:
         assert heartbeat_overhead <= 1.05, (
@@ -1100,9 +1048,7 @@ def test_fused_kernel_rounds_per_sec(report):
         "compile_seconds": compile_seconds,
         "results": results,
     }
-    with open(BENCH_KERNEL_JSON, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, indent=2)
-        handle.write("\n")
+    json_path = _write_json("kernel", payload)
 
     lines = [
         f"{entry['shape']:5s} {entry['graph']:16s} R={entry['replicas']:<5d} "
@@ -1113,7 +1059,7 @@ def test_fused_kernel_rounds_per_sec(report):
     ]
     if compile_seconds is not None:
         lines.append(f"compile: {compile_seconds:.2f}s (once per process)")
-    lines.append(f"json:    {BENCH_KERNEL_JSON}")
+    lines.append(f"json:    {json_path}")
     report(
         f"E19 — fused round kernels (kernel={fused_kernel}, "
         f"numba={'yes' if numba_available() else 'no'})",

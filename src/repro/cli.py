@@ -101,6 +101,7 @@ def _add_backend_arguments(
             "wall-clock changes."
         ),
     )
+    parser.set_defaults(backend_default=default)
 
 
 def _add_progress_arguments(parser: argparse.ArgumentParser) -> None:
@@ -143,59 +144,43 @@ def _progress_reporter_from_args(args: argparse.Namespace):
     )
 
 
-def _backend_spec_from_args(args: argparse.Namespace) -> Optional[str]:
-    """Combine --backend/--workers into one backend spec string.
+def _settings_from_args(args: argparse.Namespace) -> dict:
+    """``--shard-size`` / ``--heartbeat`` / ``--kernel`` as backend keywords.
 
-    Returns ``None`` when nothing was requested, so each sub-command keeps
-    its historical default.
+    ``--heartbeat 0`` means off, like an absent flag.  The values are
+    validated where they are used: by the backend constructor, by
+    :class:`~repro.service.server.SweepService` for ``repro serve``, or by
+    the daemon for ``repro submit``.
+    """
+    return {
+        "shard_size": args.shard_size,
+        "heartbeat_interval": args.heartbeat or None,
+        "kernel": args.kernel,
+    }
+
+
+def _backend_from_args(args: argparse.Namespace):
+    """Build the configured backend a sweep sub-command runs on.
+
+    ``--workers N`` alone means ``--backend process:N``; with neither flag
+    the sub-command's default (declared by :func:`_add_backend_arguments`)
+    applies.  Every setting is validated here, before any cell runs.
     """
     from repro.errors import ConfigurationError
+    from repro.exec import resolve_backend
 
-    backend: Optional[str] = args.backend
-    workers: Optional[int] = args.workers
-    if workers is not None:
-        if backend is None or backend == "process":
-            backend = f"process:{workers}"
+    spec: Optional[str] = args.backend
+    if args.workers is not None:
+        if spec is None or spec == "process":
+            spec = f"process:{args.workers}"
         else:
             raise ConfigurationError(
                 f"--workers only applies to the process backend; "
-                f"got --workers {workers} with --backend {backend}"
+                f"got --workers {args.workers} with --backend {spec}"
             )
-    return backend
-
-
-def _shard_size_from_args(args: argparse.Namespace):
-    """The ``--shard-size`` value in the form the entry points accept.
-
-    ``None`` (flag absent) keeps whole cells; ``"auto"`` and integer strings
-    pass through to :func:`repro.exec.resolve_shard_size`, which validates
-    them when the backend resolves.
-    """
-    value = getattr(args, "shard_size", None)
-    if value is None:
-        return None
-    return str(value).strip().lower()
-
-
-def _heartbeat_interval_from_args(args: argparse.Namespace) -> Optional[int]:
-    """The ``--heartbeat`` value (``None`` or ``0`` = heartbeats off)."""
-    value = getattr(args, "heartbeat", None)
-    if value is None or value == 0:
-        return None
-    return int(value)
-
-
-def _kernel_from_args(args: argparse.Namespace) -> Optional[str]:
-    """The ``--kernel`` spec (``None`` keeps the engine's ``"auto"``).
-
-    Validation happens when the backend resolves
-    (:func:`repro.batch.kernels.validate_kernel`), so unknown specs fail
-    with the same :class:`~repro.errors.ConfigurationError` everywhere.
-    """
-    value = getattr(args, "kernel", None)
-    if value is None:
-        return None
-    return str(value).strip().lower()
+    return resolve_backend(
+        spec, default=args.backend_default, **_settings_from_args(args)
+    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -650,15 +635,13 @@ def _cmd_table1(args: argparse.Namespace) -> int:
     from repro.experiments.io import save_records_csv, save_records_json
     from repro.experiments.tables import generate_table1
 
+    backend = _backend_from_args(args)
     with _progress_reporter_from_args(args) as reporter:
         result = generate_table1(
             num_seeds=args.seeds,
             master_seed=args.master_seed,
             progress=reporter,
-            backend=_backend_spec_from_args(args),
-            shard_size=_shard_size_from_args(args),
-            heartbeat_interval=_heartbeat_interval_from_args(args),
-            kernel=_kernel_from_args(args),
+            backend=backend,
         )
     print(result.render())
     if args.save_json:
@@ -679,10 +662,7 @@ def _cmd_scaling(args: argparse.Namespace) -> int:
         diameters=args.diameters,
         num_seeds=args.replicas if args.replicas is not None else args.seeds,
         master_seed=args.master_seed,
-        backend=_backend_spec_from_args(args),
-        shard_size=_shard_size_from_args(args),
-        heartbeat_interval=_heartbeat_interval_from_args(args),
-        kernel=_kernel_from_args(args),
+        backend=_backend_from_args(args),
     )
     print(result.render())
     return 0
@@ -704,10 +684,7 @@ def _cmd_montecarlo(args: argparse.Namespace) -> int:
             args.master_seed if args.master_seed is not None else DEFAULT_MASTER_SEED
         ),
         max_rounds=args.max_rounds,
-        backend=_backend_spec_from_args(args),
-        shard_size=_shard_size_from_args(args),
-        heartbeat_interval=_heartbeat_interval_from_args(args),
-        kernel=_kernel_from_args(args),
+        backend=_backend_from_args(args),
     )
     print(report.render())
     if args.save_json:
@@ -726,10 +703,7 @@ def _cmd_crossover(args: argparse.Namespace) -> int:
     result = crossover_experiment(
         diameters=args.diameters,
         num_seeds=args.seeds,
-        backend=_backend_spec_from_args(args),
-        shard_size=_shard_size_from_args(args),
-        heartbeat_interval=_heartbeat_interval_from_args(args),
-        kernel=_kernel_from_args(args),
+        backend=_backend_from_args(args),
     )
     print(result.uniform.render())
     print()
@@ -745,10 +719,7 @@ def _cmd_lower_bound(args: argparse.Namespace) -> int:
     result = lower_bound_experiment(
         diameters=args.diameters,
         num_seeds=args.seeds,
-        backend=_backend_spec_from_args(args),
-        shard_size=_shard_size_from_args(args),
-        heartbeat_interval=_heartbeat_interval_from_args(args),
-        kernel=_kernel_from_args(args),
+        backend=_backend_from_args(args),
     )
     print(result.render())
     return 0
@@ -760,10 +731,7 @@ def _cmd_ablation(args: argparse.Namespace) -> int:
     result = ablation_experiment(
         diameter=args.diameter,
         num_seeds=args.seeds,
-        backend=_backend_spec_from_args(args),
-        shard_size=_shard_size_from_args(args),
-        heartbeat_interval=_heartbeat_interval_from_args(args),
-        kernel=_kernel_from_args(args),
+        backend=_backend_from_args(args),
     )
     print(result.render())
     return 0
@@ -774,6 +742,7 @@ def _cmd_dynamic(args: argparse.Namespace) -> int:
     from repro.experiments.io import save_records_json
     from repro.experiments.seeds import DEFAULT_MASTER_SEED
 
+    backend = _backend_from_args(args)
     with _progress_reporter_from_args(args) as reporter:
         result = dynamic_experiment(
             protocol=args.protocol,
@@ -789,10 +758,7 @@ def _cmd_dynamic(args: argparse.Namespace) -> int:
             ),
             max_rounds=args.max_rounds,
             progress=reporter,
-            backend=_backend_spec_from_args(args),
-            shard_size=_shard_size_from_args(args),
-            heartbeat_interval=_heartbeat_interval_from_args(args),
-            kernel=_kernel_from_args(args),
+            backend=backend,
         )
     print(result.render())
     if args.save_json:
@@ -806,6 +772,7 @@ def _cmd_extinction(args: argparse.Namespace) -> int:
     from repro.experiments.io import save_records_json
     from repro.experiments.seeds import DEFAULT_MASTER_SEED
 
+    backend = _backend_from_args(args)
     with _progress_reporter_from_args(args) as reporter:
         result = leader_extinction_experiment(
             protocol=args.protocol,
@@ -821,10 +788,7 @@ def _cmd_extinction(args: argparse.Namespace) -> int:
             ),
             max_rounds=args.max_rounds,
             progress=reporter,
-            backend=_backend_spec_from_args(args),
-            shard_size=_shard_size_from_args(args),
-            heartbeat_interval=_heartbeat_interval_from_args(args),
-            kernel=_kernel_from_args(args),
+            backend=backend,
         )
     print(result.render())
     if args.save_json:
@@ -875,6 +839,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     from repro.service.faults import ServiceFaultInjector
     from repro.service.server import SweepService
 
+    settings = _settings_from_args(args)
     service = SweepService(
         host=args.host,
         port=args.port,
@@ -882,10 +847,10 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         max_retries=args.max_retries,
         shard_timeout=args.shard_timeout,
         cache_dir=args.cache_dir,
-        default_shard_size=_shard_size_from_args(args),
+        default_shard_size=settings["shard_size"],
         fault_injector=ServiceFaultInjector.from_env(),
-        heartbeat_interval=_heartbeat_interval_from_args(args),
-        kernel=_kernel_from_args(args),
+        heartbeat_interval=settings["heartbeat_interval"],
+        kernel=settings["kernel"],
     )
     stop = threading.Event()
 
@@ -950,10 +915,7 @@ def _cmd_submit(args: argparse.Namespace) -> int:
     client = ServiceClient(args.url)
     try:
         receipt = client.submit(
-            [_submit_cell_from_args(args)],
-            shard_size=_shard_size_from_args(args),
-            heartbeat_interval=_heartbeat_interval_from_args(args),
-            kernel=_kernel_from_args(args),
+            [_submit_cell_from_args(args)], **_settings_from_args(args)
         )
     except ServiceError as error:
         print(str(error), file=sys.stderr)

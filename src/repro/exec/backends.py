@@ -13,7 +13,9 @@
   deterministic cell order, keeping output byte-identical to the sequential
   loop under matched seeds.
 
-Every backend accepts a ``shard_size``: a cell with more seeds than
+Every backend is configured once, at construction, with the execution
+settings ``shard_size``, ``heartbeat_interval`` and ``kernel``; nothing
+changes them afterwards.  A cell with more seeds than
 ``shard_size`` is split into independent sub-cells
 (:func:`~repro.exec.cells.split_cell`), executed like any other unit of
 work, and merged back (:func:`~repro.exec.cells.merge_cell_outcomes`) into
@@ -64,7 +66,7 @@ from repro.exec.cells import (
 BackendSpec = Union[ExecutionBackend, str, None]
 
 
-def _validate_shard_size(shard_size: ShardSize) -> ShardSize:
+def validate_shard_size(shard_size: ShardSize) -> ShardSize:
     """Check a shard-size setting once at construction time.
 
     ``"auto"`` stays symbolic (it resolves per cell against the worker
@@ -113,8 +115,8 @@ def _stamp_kernel(
 
     A cell's own ``kernel`` always wins (it was chosen when the cell was
     built and travels with it through sharding and the service wire); the
-    backend default only fills the gap, so ``resolve_backend(kernel=...)``
-    composes with per-cell overrides the same way ``shard_size`` does.
+    backend default only fills the gap, so a backend's ``kernel`` composes
+    with per-cell overrides the same way ``shard_size`` does.
     """
     if kernel is None or cell.kernel is not None:
         return cell
@@ -122,14 +124,24 @@ def _stamp_kernel(
 
 
 class _InProcessShardingMixin:
-    """Shared sharded run loop for the two in-process backends."""
+    """Shared settings and sharded run loop for the two in-process backends."""
 
-    shard_size: ShardSize = None
-    heartbeat_interval: Optional[int] = None
-    kernel: Optional[str] = None
     #: Worker count used by the ``"auto"`` shard-size rule (in-process
     #: backends execute one unit at a time, so auto never splits for them).
     workers: int = 1
+
+    def __init__(
+        self,
+        shard_size: ShardSize = None,
+        heartbeat_interval: Optional[int] = None,
+        kernel: Optional[str] = None,
+    ):
+        self.shard_size = validate_shard_size(shard_size)
+        self.heartbeat_interval = validate_heartbeat_interval(heartbeat_interval)
+        # The sequential executor is the kernel-independent reference: its
+        # engines have no kernel seam, so there the setting only rides
+        # along on cells.
+        self.kernel = validate_kernel(kernel)
 
     def _execute(self, cell: ExecutionCell) -> CellOutcome:  # pragma: no cover
         raise NotImplementedError
@@ -215,19 +227,6 @@ class SequentialBackend(_InProcessShardingMixin, ExecutionBackend):
 
     name = "sequential"
 
-    def __init__(
-        self,
-        shard_size: ShardSize = None,
-        heartbeat_interval: Optional[int] = None,
-        kernel: Optional[str] = None,
-    ):
-        self.shard_size = _validate_shard_size(shard_size)
-        self.heartbeat_interval = validate_heartbeat_interval(heartbeat_interval)
-        # Kept for spec-threading symmetry: the sequential executor is the
-        # kernel-independent reference, so the setting only rides along on
-        # cells (engines it runs have no kernel seam).
-        self.kernel = validate_kernel(kernel)
-
     def _execute(self, cell: ExecutionCell) -> CellOutcome:
         return execute_cell_sequential(cell)
 
@@ -237,19 +236,13 @@ class BatchedBackend(_InProcessShardingMixin, ExecutionBackend):
 
     name = "batched"
 
-    def __init__(
-        self,
-        shard_size: ShardSize = None,
-        heartbeat_interval: Optional[int] = None,
-        kernel: Optional[str] = None,
-    ):
-        self.shard_size = _validate_shard_size(shard_size)
-        self.heartbeat_interval = validate_heartbeat_interval(heartbeat_interval)
-        self.kernel = validate_kernel(kernel)
-
     def _execute(self, cell: ExecutionCell) -> CellOutcome:
         return execute_cell_batched(cell)
 
+
+#: ``multiprocessing`` start method of the process backend: spawn works on
+#: every platform and proves the cells are pure data.
+_START_METHOD = "spawn"
 
 #: Per-worker heartbeat wiring, populated by the pool initializer.  Module
 #: state (not closure state) because spawn workers import this module fresh
@@ -298,10 +291,6 @@ class ProcessBackend(ExecutionBackend):
         Pool size; defaults to the machine's CPU count.  The pool never
         exceeds the number of work units (shards plus unsplit cells), so no
         idle processes are spawned.
-    mp_context:
-        ``multiprocessing`` start method.  Defaults to ``"spawn"``, which
-        works on every platform and proves the cells are pure-data; pass
-        ``"fork"`` on POSIX to trade that guarantee for cheaper startup.
     shard_size:
         Maximum seeds per work unit.  ``None`` (default) keeps whole cells;
         ``"auto"`` resolves to ``ceil(R / workers)`` per cell, splitting
@@ -321,7 +310,6 @@ class ProcessBackend(ExecutionBackend):
     def __init__(
         self,
         workers: Optional[int] = None,
-        mp_context: str = "spawn",
         shard_size: ShardSize = None,
         heartbeat_interval: Optional[int] = None,
         kernel: Optional[str] = None,
@@ -331,8 +319,7 @@ class ProcessBackend(ExecutionBackend):
         if int(workers) < 1:
             raise ConfigurationError(f"workers must be >= 1; got {workers}")
         self.workers = int(workers)
-        self.mp_context = mp_context
-        self.shard_size = _validate_shard_size(shard_size)
+        self.shard_size = validate_shard_size(shard_size)
         self.heartbeat_interval = validate_heartbeat_interval(heartbeat_interval)
         # Cells are stamped with this default before they ship to the
         # pool, so each spawn worker resolves (and JIT-compiles) its
@@ -365,7 +352,7 @@ class ProcessBackend(ExecutionBackend):
                 units.append((cell_index, shard_index, len(shards), shard))
         pool_size = min(self.workers, len(units))
         self.last_pool_size = pool_size
-        context = multiprocessing.get_context(self.mp_context)
+        context = multiprocessing.get_context(_START_METHOD)
 
         # In-flight heartbeats: workers ship (unit_index, Heartbeat) pairs
         # over one shared queue; a parent drain thread maps the unit index
@@ -481,43 +468,50 @@ def resolve_backend(
     (CPU-count workers), ``"process:N"`` and ``"service:URL"`` (execute on
     a remote sweep-service daemon, see :mod:`repro.service`).  ``None``
     resolves to ``default``, so entry points can keep their historical
-    default while accepting explicit overrides.  ``shard_size`` (an int,
-    ``"auto"`` or ``None`` to leave the backend's own setting alone) is
-    applied to the resolved backend — including instances passed in
-    directly, so CLI ``--shard-size`` composes with any ``--backend``.
-    ``heartbeat_interval`` (a positive round count, or ``None`` to leave
-    the backend's own setting alone) composes the same way and turns on
-    in-flight :class:`~repro.exec.base.ShardProgress` events.  ``kernel``
-    (a :mod:`repro.batch.kernels` spec, or ``None`` to leave the
-    backend's own setting alone) sets the backend's default round kernel,
-    stamped onto cells that do not choose their own — what CLI
-    ``--kernel`` resolves through.
+    default while accepting explicit overrides.
+
+    ``shard_size``, ``heartbeat_interval`` and ``kernel`` go to the
+    constructor of the backend built from a spec string, which validates
+    them (``None`` keeps the constructor's default).  An instance is
+    returned as given: it already carries its settings, so passing any of
+    them with one raises :class:`~repro.errors.ConfigurationError`.
     """
     if spec is None:
         spec = default
-    resolved: Optional[ExecutionBackend] = None
+    settings = {
+        "shard_size": shard_size,
+        "heartbeat_interval": heartbeat_interval,
+        "kernel": kernel,
+    }
     if isinstance(spec, ExecutionBackend):
-        resolved = spec
-    elif isinstance(spec, str):
+        given = [
+            f"{name}={value!r}"
+            for name, value in settings.items()
+            if value is not None
+        ]
+        if given:
+            raise ConfigurationError(
+                f"cannot apply {', '.join(given)} to the existing backend "
+                f"{spec.name!r}; pass it to the backend's constructor instead"
+            )
+        return spec
+    if isinstance(spec, str):
         name, _, argument = spec.strip().partition(":")
         name = name.lower()
         if name == "sequential" and not argument:
-            resolved = SequentialBackend()
-        elif name == "batched" and not argument:
-            resolved = BatchedBackend()
-        elif name == "process":
-            if not argument:
-                resolved = ProcessBackend()
-            else:
-                try:
-                    workers = int(argument)
-                except ValueError:
-                    raise ConfigurationError(
-                        f"invalid worker count {argument!r} in backend spec "
-                        f"{spec!r}"
-                    ) from None
-                resolved = ProcessBackend(workers=workers)
-        elif name == "service":
+            return SequentialBackend(**settings)
+        if name == "batched" and not argument:
+            return BatchedBackend(**settings)
+        if name == "process":
+            try:
+                workers = int(argument) if argument else None
+            except ValueError:
+                raise ConfigurationError(
+                    f"invalid worker count {argument!r} in backend spec "
+                    f"{spec!r}"
+                ) from None
+            return ProcessBackend(workers=workers, **settings)
+        if name == "service":
             if not argument.strip():
                 raise ConfigurationError(
                     f"backend spec {spec!r} is missing the daemon URL; "
@@ -528,19 +522,9 @@ def resolve_backend(
             # that local-only sweeps never need.
             from repro.service.client import ServiceBackend
 
-            resolved = ServiceBackend(argument)
-    if resolved is None:
-        raise ConfigurationError(
-            f"unknown execution backend {spec!r}; expected an ExecutionBackend "
-            f"instance or one of 'sequential', 'batched', 'process[:N]', "
-            f"'service:URL'"
-        )
-    if shard_size is not None:
-        resolved.shard_size = _validate_shard_size(shard_size)
-    if heartbeat_interval is not None:
-        resolved.heartbeat_interval = validate_heartbeat_interval(
-            heartbeat_interval
-        )
-    if kernel is not None:
-        resolved.kernel = validate_kernel(kernel)
-    return resolved
+            return ServiceBackend(argument, **settings)
+    raise ConfigurationError(
+        f"unknown execution backend {spec!r}; expected an ExecutionBackend "
+        f"instance or one of 'sequential', 'batched', 'process[:N]', "
+        f"'service:URL'"
+    )

@@ -110,24 +110,22 @@ class ExecutionBackend(abc.ABC):
     #: Seed-list shard size: ``None`` (whole cells), a positive int, or
     #: ``"auto"`` (``ceil(R / workers)`` per cell).  Backends that shard
     #: split cells with :func:`~repro.exec.cells.split_cell` and merge the
-    #: executed shards back byte-identically; ``resolve_backend`` sets this
-    #: attribute when given a ``shard_size``.
+    #: executed shards back byte-identically.  Like the two settings below,
+    #: it is fixed when the backend is constructed.
     shard_size: object = None
 
     #: In-flight heartbeat interval in engine rounds: ``None`` (off — the
     #: no-op fast path) or a positive int K.  When set, the backend
     #: installs a :class:`~repro.telemetry.heartbeat.HeartbeatEmitter`
     #: around each shard execution and forwards beats to the progress hook
-    #: as :class:`ShardProgress` events; ``resolve_backend`` sets this
-    #: attribute when given a ``heartbeat_interval``.
+    #: as :class:`ShardProgress` events.
     heartbeat_interval: Optional[int] = None
 
     #: Default round kernel (:mod:`repro.batch.kernels` spec) stamped
     #: onto cells that do not choose their own: ``None`` (cells keep
     #: their engine's ``"auto"``), ``"auto"``, ``"numba"``, ``"numpy"`` or
     #: ``"python"``.  Records are kernel-invariant, so this
-    #: only changes how fast they arrive; ``resolve_backend`` sets this
-    #: attribute when given a ``kernel``.
+    #: only changes how fast they arrive.
     kernel: Optional[str] = None
 
     @abc.abstractmethod

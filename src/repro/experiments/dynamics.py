@@ -24,7 +24,7 @@ import numpy as np
 
 from repro.dynamics.schedules import ScheduleSpec
 from repro.errors import ConfigurationError
-from repro.exec import BackendSpec, ExecutionCell, ShardSize, resolve_backend
+from repro.exec import BackendSpec, ExecutionCell, resolve_backend
 from repro.experiments.config import GraphSpec, ProtocolSpecConfig
 from repro.experiments.results import TrialRecord
 from repro.experiments.runner import cell_progress_adapter
@@ -194,9 +194,6 @@ def dynamic_experiment(
     max_rounds: Optional[int] = None,
     progress: Optional[Callable[[str], None]] = None,
     backend: BackendSpec = None,
-    shard_size: "ShardSize" = None,
-    heartbeat_interval: Optional[int] = None,
-    kernel: Optional[str] = None,
 ) -> DynamicResult:
     """Sweep churn rate × graph family × size for one protocol (E14).
 
@@ -222,13 +219,7 @@ def dynamic_experiment(
         raise ConfigurationError(
             "dynamic_experiment needs at least one family, size and churn rate"
         )
-    resolved = resolve_backend(
-        backend,
-        default="batched",
-        shard_size=shard_size,
-        heartbeat_interval=heartbeat_interval,
-        kernel=kernel,
-    )
+    resolved = resolve_backend(backend, default="batched")
 
     cells = []
     rates = []

@@ -27,7 +27,7 @@ import numpy as np
 
 from repro.batch.observers import LeaderExtinctionReport, ObserverSpec
 from repro.errors import ConfigurationError
-from repro.exec import BackendSpec, ExecutionCell, ShardSize, resolve_backend
+from repro.exec import BackendSpec, ExecutionCell, resolve_backend
 from repro.experiments.config import GraphSpec, ProtocolSpecConfig
 from repro.experiments.dynamics import (
     DEFAULT_DYNAMIC_MAX_ROUNDS,
@@ -144,9 +144,6 @@ def leader_extinction_experiment(
     max_rounds: Optional[int] = None,
     progress: Optional[Callable[[str], None]] = None,
     backend: BackendSpec = None,
-    shard_size: "ShardSize" = None,
-    heartbeat_interval: Optional[int] = None,
-    kernel: Optional[str] = None,
 ) -> ExtinctionResult:
     """Measure the leader-extinction rate across churn rate × family × size.
 
@@ -172,13 +169,7 @@ def leader_extinction_experiment(
     ceiling = max_rounds if max_rounds is not None else DEFAULT_DYNAMIC_MAX_ROUNDS
     if ceiling < 1:
         raise ConfigurationError(f"max_rounds must be >= 1; got {ceiling}")
-    resolved = resolve_backend(
-        backend,
-        default="batched",
-        shard_size=shard_size,
-        heartbeat_interval=heartbeat_interval,
-        kernel=kernel,
-    )
+    resolved = resolve_backend(backend, default="batched")
 
     cells = []
     rates = []

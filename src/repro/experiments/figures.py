@@ -18,17 +18,12 @@ regenerated here are the empirical counterparts of its claims:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
 from repro.errors import ConfigurationError
-from repro.exec import (
-    BackendSpec,
-    ExecutionCell,
-    ShardSize,
-    resolve_backend,
-)
+from repro.exec import BackendSpec, ExecutionCell, resolve_backend
 from repro.experiments.config import GraphSpec, ProtocolSpecConfig
 from repro.experiments.seeds import trial_seeds
 from repro.stats.regression import ModelComparison, PowerLawFit, compare_scaling_models, fit_power_law
@@ -114,9 +109,6 @@ def scaling_experiment(
     beep_probability: float = 0.5,
     max_rounds_factor: float = 200.0,
     backend: BackendSpec = None,
-    shard_size: "ShardSize" = None,
-    heartbeat_interval: Optional[int] = None,
-    kernel: Optional[str] = None,
 ) -> ScalingResult:
     """Measure convergence time against the diameter (experiments E2 / E3).
 
@@ -147,13 +139,7 @@ def scaling_experiment(
     """
     if mode not in ("uniform", "nonuniform"):
         raise ConfigurationError(f"mode must be 'uniform' or 'nonuniform'; got {mode!r}")
-    resolved = resolve_backend(
-        backend,
-        default="sequential",
-        shard_size=shard_size,
-        heartbeat_interval=heartbeat_interval,
-        kernel=kernel,
-    )
+    resolved = resolve_backend(backend, default="sequential")
     cells: List[ExecutionCell] = []
     for diameter in diameters:
         graph_spec = _graph_spec_for(family, diameter)
@@ -242,9 +228,6 @@ def crossover_experiment(
     num_seeds: int = 10,
     master_seed: int = 3,
     backend: BackendSpec = None,
-    shard_size: "ShardSize" = None,
-    heartbeat_interval: Optional[int] = None,
-    kernel: Optional[str] = None,
 ) -> CrossoverResult:
     """Run E2 and E3 on the same graphs and report the speed-up factors."""
     uniform = scaling_experiment(
@@ -254,9 +237,6 @@ def crossover_experiment(
         num_seeds=num_seeds,
         master_seed=master_seed,
         backend=backend,
-        shard_size=shard_size,
-        heartbeat_interval=heartbeat_interval,
-        kernel=kernel,
     )
     nonuniform = scaling_experiment(
         mode="nonuniform",
@@ -265,9 +245,6 @@ def crossover_experiment(
         num_seeds=num_seeds,
         master_seed=master_seed + 1,
         backend=backend,
-        shard_size=shard_size,
-        heartbeat_interval=heartbeat_interval,
-        kernel=kernel,
     )
     speedups = tuple(
         (
@@ -330,9 +307,6 @@ def lower_bound_experiment(
     beep_probability: float = 0.5,
     max_rounds_factor: float = 400.0,
     backend: BackendSpec = None,
-    shard_size: "ShardSize" = None,
-    heartbeat_interval: Optional[int] = None,
-    kernel: Optional[str] = None,
 ) -> LowerBoundResult:
     """Measure how long two diametral leaders coexist on a path (experiment E4).
 
@@ -340,13 +314,7 @@ def lower_bound_experiment(
     :mod:`repro.exec` backend with bit-for-bit identical per-seed results,
     so the fitted exponent never changes — only the wall-clock does.
     """
-    resolved = resolve_backend(
-        backend,
-        default="sequential",
-        shard_size=shard_size,
-        heartbeat_interval=heartbeat_interval,
-        kernel=kernel,
-    )
+    resolved = resolve_backend(backend, default="sequential")
     cells = tuple(
         ExecutionCell(
             protocol=ProtocolSpecConfig(
@@ -461,9 +429,6 @@ def ablation_experiment(
     master_seed: int = 5,
     max_rounds_factor: float = 150.0,
     backend: BackendSpec = None,
-    shard_size: "ShardSize" = None,
-    heartbeat_interval: Optional[int] = None,
-    kernel: Optional[str] = None,
 ) -> AblationResult:
     """Sweep ``p`` and test the structural ablation variants (experiment E8).
 
@@ -471,13 +436,7 @@ def ablation_experiment(
     runs on the chosen :mod:`repro.exec` backend; the reported rates and
     round counts are identical to the per-seed loop on all of them.
     """
-    resolved = resolve_backend(
-        backend,
-        default="sequential",
-        shard_size=shard_size,
-        heartbeat_interval=heartbeat_interval,
-        kernel=kernel,
-    )
+    resolved = resolve_backend(backend, default="sequential")
     graph_spec = GraphSpec(family="path", n=diameter + 1)
     budget = int(max_rounds_factor * diameter * diameter) + 1000
     # The ablated variants may fail to converge; keep their budget small so

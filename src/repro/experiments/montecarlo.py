@@ -44,7 +44,7 @@ from repro.graphs.topology import Topology
 if TYPE_CHECKING:  # pragma: no cover - typing-only import, avoids a module cycle
     from repro.batch.observers import BatchObserver
     from repro.dynamics.schedules import TopologySchedule
-    from repro.exec import BackendSpec, ShardSize
+    from repro.exec import BackendSpec
 from repro.stats.summary import Summary, summarize_sample
 from repro.viz.table_format import render_table
 
@@ -228,9 +228,6 @@ def run_monte_carlo(
     max_rounds: Optional[int] = None,
     params: Optional[dict] = None,
     backend: "BackendSpec" = None,
-    shard_size: "ShardSize" = None,
-    heartbeat_interval: Optional[int] = None,
-    kernel: Optional[str] = None,
 ) -> MonteCarloReport:
     """Run ``replicas`` seeded executions of one configuration and summarise.
 
@@ -245,10 +242,11 @@ def run_monte_carlo(
     ``backend`` selects the :mod:`repro.exec` execution backend and defaults
     to ``"batched"`` (the historical behaviour of this entry point); the
     per-replica outcomes are identical on every backend, but only batched
-    executions record elected-node identities.  ``shard_size`` (int or
-    ``"auto"`` = ``ceil(replicas / workers)``) splits the run's single cell
-    into seed-list shards — the setting that lets ``process:N`` spread one
-    large montecarlo cell across all workers, byte-identically.
+    executions record elected-node identities.  A backend built with
+    ``shard_size`` (int or ``"auto"`` = ``ceil(replicas / workers)``), e.g.
+    ``ProcessBackend(shard_size="auto")``, splits the run's single cell into
+    seed-list shards, spreading one large montecarlo cell across all
+    workers byte-identically.
 
     ``elapsed_seconds`` (and therefore the reported replica-rounds/sec)
     times the whole backend execution — graph rebuild and protocol
@@ -261,13 +259,7 @@ def run_monte_carlo(
 
     if replicas < 1:
         raise ConfigurationError(f"replicas must be >= 1; got {replicas}")
-    resolved = resolve_backend(
-        backend,
-        default="batched",
-        shard_size=shard_size,
-        heartbeat_interval=heartbeat_interval,
-        kernel=kernel,
-    )
+    resolved = resolve_backend(backend, default="batched")
     cell = ExecutionCell(
         protocol=ProtocolSpecConfig(name=protocol, params=dict(params or {})),
         graph=GraphSpec(family=graph, n=n),

@@ -44,7 +44,6 @@ from repro.exec import (
     ExecutionCell,
     ProgressHook,
     ShardProgress,
-    ShardSize,
     resolve_backend,
 )
 from repro.experiments.config import SweepConfig, TrialConfig
@@ -273,9 +272,6 @@ def run_sweep(
     sweep: SweepConfig,
     progress: Optional[Callable[[str], None]] = None,
     backend: BackendSpec = None,
-    shard_size: "ShardSize" = None,
-    heartbeat_interval: Optional[int] = None,
-    kernel: Optional[str] = None,
 ) -> Tuple[TrialRecord, ...]:
     """Run every (protocol, graph, seed) combination of a sweep.
 
@@ -293,29 +289,11 @@ def run_sweep(
         state array per cell) or ``"process:N"`` (cells sharded across N
         worker processes).  Records are byte-identical on every backend
         under the same master seed; only the wall-clock changes.
-    shard_size:
-        Maximum seeds per work unit (``--shard-size``): a positive int or
-        ``"auto"`` (``ceil(R / workers)`` per cell).  Lets ``process:N``
-        parallelise within a cell; output stays byte-identical.  ``None``
-        keeps whole cells.
-    heartbeat_interval:
-        Poll an in-flight heartbeat every K engine rounds (``--heartbeat``)
-        and stream it to ``progress`` as ``ShardProgress`` events /
-        ``"progress"`` telemetry records.  ``None`` keeps heartbeats off;
-        records are byte-identical either way.
-    kernel:
-        Default round kernel for the batched engine (``--kernel``): a
-        :mod:`repro.batch.kernels` spec stamped onto cells that do not
-        choose their own.  Records are byte-identical on every kernel;
-        only the wall-clock changes.
+        Execution settings (``shard_size``, ``heartbeat_interval``,
+        ``kernel``) live on the backend, e.g.
+        ``ProcessBackend(workers=2, shard_size="auto")``.
     """
-    resolved = resolve_backend(
-        backend,
-        default="sequential",
-        shard_size=shard_size,
-        heartbeat_interval=heartbeat_interval,
-        kernel=kernel,
-    )
+    resolved = resolve_backend(backend, default="sequential")
     return resolved.run_cells(
         sweep_cells(sweep), progress=cell_progress_adapter(progress)
     )

@@ -19,7 +19,7 @@ couple of minutes; the CLI exposes flags to scale it up.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Sequence, Tuple
 
 from repro.baselines import (
     EmekKerenStyleElection,
@@ -28,12 +28,7 @@ from repro.baselines import (
     PipelinedIDElection,
 )
 from repro.baselines.base import BaselineInfo
-from repro.exec import (
-    BackendSpec,
-    ExecutionCell,
-    ShardSize,
-    resolve_backend,
-)
+from repro.exec import BackendSpec, ExecutionCell, resolve_backend
 from repro.experiments.config import GraphSpec, ProtocolSpecConfig, SweepConfig
 from repro.experiments.results import CellSummary, TrialRecord, aggregate_records
 from repro.experiments.runner import cell_progress_adapter, sweep_cells
@@ -164,9 +159,6 @@ def generate_table1(
     master_seed: int = 1,
     progress=None,
     backend: BackendSpec = None,
-    shard_size: "ShardSize" = None,
-    heartbeat_interval: Optional[int] = None,
-    kernel: Optional[str] = None,
 ) -> Table1Result:
     """Run the Table-1 comparison and return the regenerated table.
 
@@ -192,18 +184,8 @@ def generate_table1(
         call, so a process pool shards the whole table at once.  Every
         measured number is identical under the same ``master_seed``; only
         the wall-clock changes.
-    shard_size:
-        Maximum seeds per work unit (int or ``"auto"`` =
-        ``ceil(R / workers)``): lets ``process:N`` split each cell's seed
-        list across workers, byte-identically.  ``None`` keeps whole cells.
     """
-    resolved = resolve_backend(
-        backend,
-        default="sequential",
-        shard_size=shard_size,
-        heartbeat_interval=heartbeat_interval,
-        kernel=kernel,
-    )
+    resolved = resolve_backend(backend, default="sequential")
     graph_labels = tuple(graph.label for graph in graphs)
     cells: List[ExecutionCell] = []
     for name in protocols:

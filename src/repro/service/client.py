@@ -26,7 +26,9 @@ import urllib.error
 import urllib.request
 from typing import IO, Dict, List, Optional, Sequence, Tuple
 
+from repro.batch.kernels import validate_kernel
 from repro.errors import ConfigurationError, ServiceError
+from repro.exec.backends import validate_heartbeat_interval, validate_shard_size
 from repro.exec.base import (
     CellCompleted,
     ExecutionBackend,
@@ -192,7 +194,9 @@ class ServiceBackend(ExecutionBackend):
     :class:`~repro.exec.ShardProgress` events for the local progress hook
     — the same shape every local backend delivers.  And so is ``kernel``
     (``--kernel``): the spec rides the submission and resolves on the
-    daemon's workers, where the engines actually run.
+    daemon's workers, where the engines actually run.  All three are
+    validated here, by the same checks the local backends apply, so a bad
+    setting fails at construction rather than at the daemon.
     """
 
     def __init__(
@@ -207,10 +211,10 @@ class ServiceBackend(ExecutionBackend):
         self.client = ServiceClient(url, timeout=timeout)
         self.url = self.client.url
         self.name = f"service:{self.url}"
-        self.shard_size = shard_size
+        self.shard_size = validate_shard_size(shard_size)
         self.poll_timeout = poll_timeout
-        self.heartbeat_interval = heartbeat_interval
-        self.kernel = kernel
+        self.heartbeat_interval = validate_heartbeat_interval(heartbeat_interval)
+        self.kernel = validate_kernel(kernel)
 
     def run_cell_outcomes(
         self,

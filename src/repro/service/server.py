@@ -73,7 +73,7 @@ from urllib.parse import parse_qs, urlsplit
 from repro._version import __version__
 from repro.batch.kernels import validate_kernel
 from repro.errors import ConfigurationError, ReproError, ServiceError
-from repro.exec.backends import validate_heartbeat_interval
+from repro.exec.backends import validate_heartbeat_interval, validate_shard_size
 from repro.exec.cells import (
     CellOutcome,
     ExecutionCell,
@@ -221,7 +221,7 @@ class SweepService:
         self.workers = int(workers)
         self.max_retries = int(max_retries)
         self.shard_timeout = shard_timeout
-        self.default_shard_size = default_shard_size
+        self.default_shard_size = validate_shard_size(default_shard_size)
         self.fault_injector = fault_injector
         self.heartbeat_interval = validate_heartbeat_interval(heartbeat_interval)
         self.progress_throttle = float(progress_throttle)

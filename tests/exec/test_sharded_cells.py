@@ -320,8 +320,9 @@ def test_resolve_backend_applies_shard_size():
     with pytest.raises(ConfigurationError):
         resolve_backend("batched", shard_size="zero")
     instance = BatchedBackend()
-    assert resolve_backend(instance, shard_size=2) is instance
-    assert instance.shard_size == 2
+    with pytest.raises(ConfigurationError, match="shard_size"):
+        resolve_backend(instance, shard_size=2)
+    assert instance.shard_size is None
 
 
 def test_run_sweep_shard_size_is_byte_identical():
@@ -333,8 +334,11 @@ def test_run_sweep_shard_size_is_byte_identical():
         master_seed=3,
     )
     reference = run_sweep(sweep, backend="batched")
-    assert run_sweep(sweep, backend="batched", shard_size=2) == reference
-    assert run_sweep(sweep, backend="sequential", shard_size="auto") == reference
+    assert run_sweep(sweep, backend=BatchedBackend(shard_size=2)) == reference
+    assert (
+        run_sweep(sweep, backend=SequentialBackend(shard_size="auto"))
+        == reference
+    )
 
 
 def test_run_monte_carlo_shard_size_is_byte_identical():
@@ -346,8 +350,7 @@ def test_run_monte_carlo_shard_size_is_byte_identical():
         graph="cycle",
         n=16,
         replicas=6,
-        backend="batched",
-        shard_size=2,
+        backend=BatchedBackend(shard_size=2),
     )
     assert_same_batch(reference.result, sharded.result)
     assert sharded.batched is True

@@ -8,7 +8,7 @@ import pytest
 
 from repro.errors import ConfigurationError, ServiceError
 from repro.exec import SequentialBackend, resolve_backend
-from repro.service import ServiceClient
+from repro.service import ServiceBackend, ServiceClient
 from repro.service.wire import cells_to_payload
 
 from tests.service.conftest import make_cell
@@ -126,17 +126,28 @@ def test_malformed_submissions_are_400(service, body):
         pytest.fail("expected HTTP 400")
 
 
+def test_bad_default_shard_size_fails_at_construction():
+    # Checked once, like a backend's shard_size: a daemon started with a bad
+    # default would otherwise reject every submission that omits one.
+    from repro.service import SweepService
+
+    with pytest.raises(ConfigurationError, match="shard size"):
+        SweepService(workers=1, default_shard_size="zero")
+
+
 @pytest.mark.parametrize("interval", [2.9, True, False, "16", 0, -4])
 @pytest.mark.parametrize("entry", ["backend", "post"])
 def test_heartbeat_interval_is_validated_not_coerced(request, entry, interval):
-    # One validator guards both ways in: backend construction and the
-    # POST /sweeps body.  Nothing is coerced: int() would turn 2.9 into 2
-    # and True into 1.
+    # One validator guards both ways in: backend construction (local or
+    # service client) and the POST /sweeps body.  Nothing is coerced: int()
+    # would turn 2.9 into 2 and True into 1.
     if entry == "backend":
         with pytest.raises(ConfigurationError, match="heartbeat_interval"):
             SequentialBackend(heartbeat_interval=interval)
         with pytest.raises(ConfigurationError, match="heartbeat_interval"):
             resolve_backend("batched", heartbeat_interval=interval)
+        with pytest.raises(ConfigurationError, match="heartbeat_interval"):
+            ServiceBackend("http://127.0.0.1:1", heartbeat_interval=interval)
         return
     service = request.getfixturevalue("service")
     payload = {

@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from repro.exec import BatchedBackend
 from repro.experiments.config import GraphSpec, ProtocolSpecConfig, SweepConfig
 from repro.experiments.runner import run_sweep
 from repro.telemetry import (
@@ -206,7 +207,7 @@ def test_sharded_sweep_emits_shard_records_but_summary_counts_cells(tmp_path):
     path = tmp_path / "stream.jsonl"
     with ProgressReporter(quiet=True, telemetry_path=str(path)) as reporter:
         run_sweep(
-            _tiny_sweep(), progress=reporter, backend="batched", shard_size=1
+            _tiny_sweep(), progress=reporter, backend=BatchedBackend(shard_size=1)
         )
     records = list(iter_telemetry(str(path)))
     shards = [r for r in records if r["event"] == "shard"]
@@ -247,7 +248,7 @@ def test_tail_renders_shard_lines_from_a_sharded_sweep(tmp_path):
     path = tmp_path / "stream.jsonl"
     with ProgressReporter(quiet=True, telemetry_path=str(path)) as reporter:
         run_sweep(
-            _tiny_sweep(), progress=reporter, backend="batched", shard_size=1
+            _tiny_sweep(), progress=reporter, backend=BatchedBackend(shard_size=1)
         )
     out = io.StringIO()
     rendered = tail_telemetry(str(path), out=out)

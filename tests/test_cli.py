@@ -292,6 +292,42 @@ def test_cli_workers_rejects_non_process_backends():
         )
 
 
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--kernel", "fortran"], "kernel"),
+        (["--shard-size", "zero"], "shard size"),
+        (["--heartbeat", "-4"], "heartbeat_interval"),
+    ],
+    ids=["kernel", "shard-size", "heartbeat"],
+)
+@pytest.mark.parametrize(
+    "command",
+    [
+        "table1",
+        "scaling",
+        "crossover",
+        "lower-bound",
+        "ablation",
+        "montecarlo",
+        "dynamic",
+        "extinction",
+    ],
+)
+def test_sweep_commands_reject_bad_execution_flags(
+    monkeypatch, command, flags, message
+):
+    # Every sweep command hands its execution flags to the backend it
+    # builds, so a bad value fails before any cell runs.
+    def no_cells(cell):
+        raise AssertionError("a cell ran before the flags were validated")
+
+    monkeypatch.setattr("repro.exec.backends.execute_cell_sequential", no_cells)
+    monkeypatch.setattr("repro.exec.backends.execute_cell_batched", no_cells)
+    with pytest.raises(ConfigurationError, match=message):
+        main([command, *flags])
+
+
 def test_lower_bound_batched_matches_looped(capsys):
     argv = ["lower-bound", "--diameters", "4", "8", "--seeds", "3"]
     assert main(argv) == 0
